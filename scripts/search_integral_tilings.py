@@ -2,7 +2,9 @@
 """Sweep random tilings over a range of grid sizes and tabulate how often
 they are integral, how often the sufficient conditions certify it, and --
 optionally -- whether any non-integral tiling acquires an integral blow-up
-(an open-question candidate that has never shown up so far).
+(an open-question candidate that has never shown up so far).  Records
+are the ones `sudoku-spectra search` writes; with --blowup-k every
+tiling's blow-up is tested.
 
 Example:
     python scripts/search_integral_tilings.py --m-min 2 --m-max 5 \
@@ -17,11 +19,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from sudoku_spectra.blowup import blown_adjacency
-from sudoku_spectra.graph import adjacency
-from sudoku_spectra.integrality import GUARANTEED_INTEGRAL, theorem_verdict
-from sudoku_spectra.spectra import exact_spectrum
-from sudoku_spectra.tiling import random_tiling
+from sudoku_spectra.cli import search_record
+from sudoku_spectra.integrality import GUARANTEED_INTEGRAL
 
 
 @dataclass
@@ -36,29 +35,16 @@ class Tally:
 def run(m: int, count: int, seed: int, blowup_k: int | None, sink) -> Tally:
     tally = Tally()
     for i in range(count):
-        t = random_tiling(m, seed + i)
-        s = exact_spectrum(adjacency(t))
-        verdict = theorem_verdict(t).verdict
-        record = {
-            "m": m,
-            "seed": seed + i,
-            "integral": s.is_integral,
-            "theorem_verdict": verdict,
-            "spectrum": s.digest(),
-        }
+        record = search_record(m, seed + i, blowup_k)
         tally.total += 1
-        if s.is_integral:
+        if record["integral"]:
             tally.integral += 1
-            if verdict == GUARANTEED_INTEGRAL:
+            if record["theorem_verdict"] == GUARANTEED_INTEGRAL:
                 tally.guaranteed += 1
             else:
                 tally.integral_inconclusive += 1
-        if blowup_k is not None and not s.is_integral:
-            blown = exact_spectrum(blown_adjacency(t, blowup_k))
-            record["blowup_k"] = blowup_k
-            record["blowup_integral"] = blown.is_integral
-            if blown.is_integral:
-                tally.blowup_integral_of_nonintegral += 1
+        elif record.get("blowup_integral"):
+            tally.blowup_integral_of_nonintegral += 1
         if sink:
             print(json.dumps(record), file=sink)
     return tally

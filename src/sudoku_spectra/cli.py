@@ -9,7 +9,9 @@ matrix entries) as decimal strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -32,6 +34,17 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_COMPUTE = 3
 EXIT_VERIFY = 4
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts and sizes: a bad value exits 2 with usage."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _poly_json(poly) -> list[str]:
@@ -61,7 +74,8 @@ def _condition_json(rep: integrality.ConditionReport) -> dict:
     def rc(r: integrality.RegCommute) -> dict:
         return {
             "regular": r.regular,
-            "const_row_sum": r.const_row_sum,
+            # a layer's row sum at a cell is its degree, so this is regularity
+            "const_row_sum": r.regular,
             "commutes_with_blocks": r.commutes_with_blocks,
         }
 
@@ -121,8 +135,8 @@ def cmd_check(args) -> int:
         f"condition (i): q = {rep.cond_i}" if rep.cond_i is not None else "condition (i): fails",
         f"condition (ii): q = {rep.cond_ii}" if rep.cond_ii is not None else "condition (ii): fails",
         f"condition (iii): {'holds' if rep.cond_iii else 'fails'}",
-        f"row layer regular/const-sum/commutes: {rep.regcommute_h}",
-        f"column layer regular/const-sum/commutes: {rep.regcommute_v}",
+        f"row layer: {rep.regcommute_h}",
+        f"column layer: {rep.regcommute_v}",
         f"verdict: {rep.verdict}",
     ]
     _emit(report, args.json, lines)
@@ -199,8 +213,9 @@ def cmd_blowup(args) -> int:
     return EXIT_OK
 
 
-def _search_one(task: tuple[int, int, int | None]) -> dict:
-    m, seed, blowup_k = task
+def search_record(m: int, seed: int, blowup_k: int | None = None) -> dict:
+    """The search record of random_tiling(m, seed): exact integrality, the
+    certificate's verdict and, given blowup_k, integrality of that blow-up."""
     t = random_tiling(m, seed)
     s = spectra.exact_spectrum(graph.adjacency(t))
     rep = integrality.theorem_verdict(t)
@@ -222,13 +237,14 @@ def cmd_search(args) -> int:
     if args.m < 2:
         print("search needs m >= 2", file=sys.stderr)
         return EXIT_INPUT
-    tasks = [(args.m, args.seed + i, args.blowup_k) for i in range(args.count)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_search_one, tasks))
+    seeds = range(args.seed, args.seed + args.count)
+    one = functools.partial(search_record, args.m, blowup_k=args.blowup_k)
+    jobs = min(args.jobs, os.cpu_count() or 1)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            records = list(pool.map(one, seeds))
     else:
-        records = [_search_one(task) for task in tasks]
-    records.sort(key=lambda r: r["seed"])
+        records = list(map(one, seeds))
 
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
@@ -300,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("blowup", help="k-fold blow-up; optionally verify the eigenbasis")
     p.add_argument("tiling")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--out", help="write the blown-up tiling file here")
     p.add_argument("--matrix-out", help="write the blown-up adjacency matrix here")
     p.add_argument("--matrix-format", choices=("text", "json"), default="text")
@@ -311,23 +327,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="test random tilings; JSONL records, summary at the end")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", type=_positive_int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--blowup-k", type=int, default=None, dest="blowup_k")
+    p.add_argument("--blowup-k", type=_positive_int, default=None, dest="blowup_k")
     p.add_argument("--out", help="write records to this file instead of stdout")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker processes, at most the number of CPUs")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("gen", help="emit classical/row/random tiling files")
     gen_sub = p.add_subparsers(dest="kind", required=True)
     g = gen_sub.add_parser("classical")
-    g.add_argument("--n", type=int, required=True)
+    g.add_argument("--n", type=_positive_int, required=True)
     g.add_argument("--out")
     g = gen_sub.add_parser("row")
-    g.add_argument("--m", type=int, required=True)
+    g.add_argument("--m", type=_positive_int, required=True)
     g.add_argument("--out")
     g = gen_sub.add_parser("random")
-    g.add_argument("--m", type=int, required=True)
+    g.add_argument("--m", type=_positive_int, required=True)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out")
     p.set_defaults(func=cmd_gen)

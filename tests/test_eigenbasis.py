@@ -152,6 +152,17 @@ def test_predicted_spectrum_matches_family_eigenvalues(t, k):
     assert np.allclose(from_families, predicted, atol=1e-9)
 
 
+@pytest.mark.parametrize("t, k", [
+    (classical_tiling(2), 2), (random_tiling(3, 1), 3), (random_tiling(4, 0), 1),
+], ids=["classical2-k2", "random3-k3", "random4-k1"])
+def test_verify_predicted_is_predicted_spectrum(t, k):
+    # verify reads the predicted spectrum off its families; the layer-spectrum
+    # composition must give the same tuple, value for value and type for type
+    predicted = verify(t, k).predicted
+    reference = predicted_spectrum(t, k)
+    assert [(type(v), v) for v in predicted] == [(type(v), v) for v in reference]
+
+
 def test_predicted_spectrum_oracle_match(freeform4):
     for k in (2, 3):
         pred = predicted_spectrum(freeform4, k)

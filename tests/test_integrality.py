@@ -17,6 +17,44 @@ from sudoku_spectra.tiling import Tiling, classical_tiling, random_tiling, row_t
 from conftest import tilings
 
 
+# Matrix forms of the conditions: the references the production checks,
+# which never build a layer matrix, are compared against.
+
+
+def layers_commute(t: Tiling) -> bool:
+    """Condition (iii) as matrix commutation: l_h @ l_v == l_v @ l_h."""
+    d = layers(t)
+    l_h = d.l_h.astype(np.int64)
+    l_v = d.l_v.astype(np.int64)
+    return bool(np.array_equal(l_h @ l_v, l_v @ l_h))
+
+
+def layer_regcommute(t: Tiling, axis: str) -> tuple[bool, bool]:
+    """(constant row sums, commutes with l_b) of the row or column layer."""
+    d = layers(t)
+    layer = (d.l_h if axis == "row" else d.l_v).astype(np.int64)
+    l_b = d.l_b.astype(np.int64)
+    sums = layer.sum(axis=1)
+    return bool(np.all(sums == sums[0])), bool(np.array_equal(l_b @ layer, layer @ l_b))
+
+
+def all_m3_tilings() -> list[Tiling]:
+    """All 1680 partitions of the 3x3 grid into three labelled blocks of 3."""
+    from itertools import combinations
+
+    out = []
+    for b0 in combinations(range(9), 3):
+        rest = sorted(set(range(9)) - set(b0))
+        for b1 in combinations(rest, 3):
+            block_of = [0] * 9
+            for c in b1:
+                block_of[c] = 1
+            for c in set(rest) - set(b1):
+                block_of[c] = 2
+            out.append(Tiling(3, tuple(block_of)))
+    return out
+
+
 def test_condition_q_classical():
     for n in (1, 2, 3):
         t = classical_tiling(n)
@@ -59,18 +97,21 @@ def test_condition_iii_degenerate_row_tiling():
 
 def test_regcommute_classical():
     rc = check_regcommute(classical_tiling(3), "row")
-    assert (rc.regular, rc.const_row_sum, rc.commutes_with_blocks) == (True, True, True)
+    assert (rc.regular, rc.commutes_with_blocks) == (True, True)
+    assert layer_regcommute(classical_tiling(3), "row") == (True, True)
 
 
 def test_regcommute_noncommuting(noncommuting4):
     for axis in ("row", "column"):
         rc = check_regcommute(noncommuting4, axis)
-        assert (rc.regular, rc.const_row_sum, rc.commutes_with_blocks) == (True, True, True)
+        assert (rc.regular, rc.commutes_with_blocks) == (True, True)
+        assert layer_regcommute(noncommuting4, axis) == (True, True)
 
 
 def test_regcommute_freeform4(freeform4):
     rc = check_regcommute(freeform4, "row")
-    assert rc.regular is False and rc.const_row_sum is False
+    const_row_sum, _ = layer_regcommute(freeform4, "row")
+    assert rc.regular is False and const_row_sum is False
 
 
 def test_verdict_classical():
@@ -100,19 +141,19 @@ def test_noncommuting_verdict(noncommuting4):
 
 
 def test_regcommute_triples_agree_on_sample(random_sample_100):
-    # equivalence of (regular, const row sum, commutes-with-blocks):
-    # a single counterexample is a bug
+    # equivalence of (regular, const row sum, commutes-with-blocks), with
+    # the last two from the layer matrices: a single counterexample is a bug
     for t in random_sample_100:
         for axis in ("row", "column"):
             rc = check_regcommute(t, axis)
-            assert rc.regular == rc.const_row_sum == rc.commutes_with_blocks, t
+            const_row_sum, commutes = layer_regcommute(t, axis)
+            assert rc.regular == const_row_sum == commutes == rc.commutes_with_blocks, t
 
 
 def test_condition_iii_cross_check_on_sample(random_sample_100):
-    # check_condition_iii raises EquivalenceViolation internally if the
-    # cell-quantified form and the matrix form ever disagree
+    # the cell-quantified form must agree with the matrix form
     for t in random_sample_100:
-        check_condition_iii(t)
+        assert check_condition_iii(t) == layers_commute(t), t
 
 
 def test_soundness_on_sample(random_sample_100):
@@ -127,10 +168,11 @@ def test_soundness_on_sample(random_sample_100):
 @settings(max_examples=40, deadline=None)
 def test_regular_iff_const_row_sum_property(t):
     # only this pair is universally equivalent; commuting-with-blocks can
-    # diverge on structured tilings (see the regression tests below)
+    # diverge on structured tilings (see the regression tests below), so
+    # it is compared with its own matrix form
     for axis in ("row", "column"):
         rc = check_regcommute(t, axis)
-        assert rc.regular == rc.const_row_sum
+        assert (rc.regular, rc.commutes_with_blocks) == layer_regcommute(t, axis)
 
 
 # rows AABB / BBCC / CCDD / DDAA: the column layer is 2-regular yet does
@@ -143,14 +185,16 @@ COMMUTING_NOT_REGULAR = Tiling(4, (0, 1, 2, 3, 0, 1, 2, 3, 1, 0, 2, 3, 1, 0, 2, 
 
 def test_regular_without_commuting_regression():
     rc = check_regcommute(REGULAR_NOT_COMMUTING, "column")
-    assert rc.regular and rc.const_row_sum
-    assert not rc.commutes_with_blocks
+    const_row_sum, commutes = layer_regcommute(REGULAR_NOT_COMMUTING, "column")
+    assert rc.regular and const_row_sum
+    assert not rc.commutes_with_blocks and not commutes
 
 
 def test_commuting_without_regular_regression():
     rc = check_regcommute(COMMUTING_NOT_REGULAR, "column")
-    assert not rc.regular and not rc.const_row_sum
-    assert rc.commutes_with_blocks
+    const_row_sum, commutes = layer_regcommute(COMMUTING_NOT_REGULAR, "column")
+    assert not rc.regular and not const_row_sum
+    assert rc.commutes_with_blocks and commutes
 
 
 # tilings meeting the uniform-count conditions on both axes with UNEQUAL
@@ -183,43 +227,43 @@ def test_exhaustive_m3_certified_tilings_are_integral():
     # all 1680 block partitions of the 3x3 grid: every tiling passing the
     # uniform-count and commuting conditions (any q combination) is
     # integral at this size; the verdict additionally demands a common q
-    from itertools import combinations
-
     certified = 0
     guaranteed = 0
-    for b0 in combinations(range(9), 3):
-        rest = sorted(set(range(9)) - set(b0))
-        for b1 in combinations(rest, 3):
-            block_of = [0] * 9
-            for c in b1:
-                block_of[c] = 1
-            for c in set(rest) - set(b1):
-                block_of[c] = 2
-            t = Tiling(3, tuple(block_of))
-            q_r = check_condition_q(t, "row")
-            q_c = check_condition_q(t, "column")
-            if q_r is None or q_c is None or not check_condition_iii(t):
-                continue
-            certified += 1
-            assert is_integral(adjacency(t))
-            if theorem_verdict(t).verdict == GUARANTEED_INTEGRAL:
-                guaranteed += 1
-                assert q_r == q_c
+    for t in all_m3_tilings():
+        q_r = check_condition_q(t, "row")
+        q_c = check_condition_q(t, "column")
+        if q_r is None or q_c is None or not check_condition_iii(t):
+            continue
+        certified += 1
+        assert is_integral(adjacency(t))
+        if theorem_verdict(t).verdict == GUARANTEED_INTEGRAL:
+            guaranteed += 1
+            assert q_r == q_c
     assert certified == 24
     assert guaranteed == 12
+
+
+def test_exhaustive_m3_conditions_match_matrix_forms():
+    # every 3x3 tiling, both axes: the profile and cell forms equal the
+    # layer-matrix forms
+    for t in all_m3_tilings():
+        assert check_condition_iii(t) == layers_commute(t), t
+        for axis in ("row", "column"):
+            rc = check_regcommute(t, axis)
+            assert (rc.regular, rc.commutes_with_blocks) == layer_regcommute(t, axis), (t, axis)
 
 
 @given(tilings(min_m=2, max_m=5))
 @settings(max_examples=40, deadline=None)
 def test_condition_iii_equivalence_property(t):
-    check_condition_iii(t)  # would raise on any mismatch
+    assert check_condition_iii(t) == layers_commute(t)
 
 
 @given(tilings(min_m=2, max_m=5))
 @settings(max_examples=30, deadline=None)
 def test_verdict_soundness_property(t):
-    # theorem_verdict carries an internal soundness assertion; a guaranteed
-    # verdict on a non-integral tiling would raise here
+    # the verdict never looks at the spectrum; a guaranteed verdict on a
+    # non-integral tiling would fail here
     rep = theorem_verdict(t)
     if rep.guaranteed:
         assert rep.cond_i == rep.cond_ii
@@ -232,8 +276,8 @@ def test_axis_validation(freeform4):
 
 
 def test_verdict_beyond_exact_kernel_envelope():
-    # 625 cells exceed the exact-spectrum size cap; the condition
-    # certificate itself must still work (soundness assert is scoped out)
+    # 625 cells exceed the exact-spectrum size cap; the certificate needs
+    # no spectrum and no layer matrix, so it still works
     rep = theorem_verdict(classical_tiling(5))
     assert rep.verdict == GUARANTEED_INTEGRAL
     assert rep.cond_i == 5 and rep.cond_ii == 5 and rep.cond_iii

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -89,6 +90,12 @@ def test_multipartite_spectrum_examples():
     # K_{2,2,2} is the octahedron: {4, 0^3, -2^2} (six eigenvalues)
     assert multipartite_spectrum(2, 3).integer_part == ((-2, 2), (0, 3), (4, 1))
     assert multipartite_spectrum(1, 1).integer_part == ((0, 1),)
+
+
+@pytest.mark.parametrize("q", range(1, 5))
+@pytest.mark.parametrize("k", range(1, 5))
+def test_multipartite_spectrum_matches_closed_charpoly(q, k):
+    assert spectrum_charpoly(multipartite_spectrum(q, k)) == multipartite_charpoly([q] * k)
 
 
 def test_multipartite_spectrum_matches_explicit_graph():
