@@ -19,7 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from sudoku_spectra.cli import search_record
+from sudoku_spectra.cli import positive_int, search_record
 from sudoku_spectra.integrality import GUARANTEED_INTEGRAL
 
 
@@ -52,13 +52,15 @@ def run(m: int, count: int, seed: int, blowup_k: int | None, sink) -> Tally:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--m-min", type=int, default=2)
-    ap.add_argument("--m-max", type=int, default=5)
-    ap.add_argument("--count", type=int, default=100)
+    ap.add_argument("--m-min", type=positive_int, default=2)
+    ap.add_argument("--m-max", type=positive_int, default=5)
+    ap.add_argument("--count", type=positive_int, default=100)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--blowup-k", type=int, default=None)
+    ap.add_argument("--blowup-k", type=positive_int, default=None)
     ap.add_argument("--out", default=None, help="write per-tiling JSONL records here")
     args = ap.parse_args()
+    if args.m_min > args.m_max:
+        ap.error(f"--m-min {args.m_min} exceeds --m-max {args.m_max}")
 
     sink = open(args.out, "w", encoding="utf-8") if args.out else None
     header = f"{'m':>3} {'total':>6} {'integral':>9} {'guaranteed':>11} {'int&inconcl':>12}"

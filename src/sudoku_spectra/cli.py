@@ -36,7 +36,7 @@ EXIT_COMPUTE = 3
 EXIT_VERIFY = 4
 
 
-def _positive_int(text: str) -> int:
+def positive_int(text: str) -> int:
     """argparse type for counts and sizes: a bad value exits 2 with usage."""
     try:
         value = int(text)
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("blowup", help="k-fold blow-up; optionally verify the eigenbasis")
     p.add_argument("tiling")
-    p.add_argument("--k", type=_positive_int, required=True)
+    p.add_argument("--k", type=positive_int, required=True)
     p.add_argument("--out", help="write the blown-up tiling file here")
     p.add_argument("--matrix-out", help="write the blown-up adjacency matrix here")
     p.add_argument("--matrix-format", choices=("text", "json"), default="text")
@@ -327,24 +327,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="test random tilings; JSONL records, summary at the end")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--count", type=_positive_int, default=10)
+    p.add_argument("--count", type=positive_int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--blowup-k", type=_positive_int, default=None, dest="blowup_k")
+    p.add_argument("--blowup-k", type=positive_int, default=None, dest="blowup_k")
     p.add_argument("--out", help="write records to this file instead of stdout")
-    p.add_argument("--jobs", type=_positive_int, default=1,
+    p.add_argument("--jobs", type=positive_int, default=1,
                    help="worker processes, at most the number of CPUs")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("gen", help="emit classical/row/random tiling files")
     gen_sub = p.add_subparsers(dest="kind", required=True)
     g = gen_sub.add_parser("classical")
-    g.add_argument("--n", type=_positive_int, required=True)
+    g.add_argument("--n", type=positive_int, required=True)
     g.add_argument("--out")
     g = gen_sub.add_parser("row")
-    g.add_argument("--m", type=_positive_int, required=True)
+    g.add_argument("--m", type=positive_int, required=True)
     g.add_argument("--out")
     g = gen_sub.add_parser("random")
-    g.add_argument("--m", type=_positive_int, required=True)
+    g.add_argument("--m", type=positive_int, required=True)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out")
     p.set_defaults(func=cmd_gen)

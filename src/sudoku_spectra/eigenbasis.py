@@ -273,8 +273,8 @@ def verify(t: Tiling, k: int, residual_tol: float = 1e-8, spectrum_tol: float = 
     Checks, in order: every family vector is an eigenvector for its
     predicted eigenvalue (exactly for integer-path vectors, within
     residual_tol * ||A|| * ||v|| for approximate ones); the stacked family
-    has full rank (exact fraction-free rank when everything is rational,
-    SVD with a relative 1e-8 threshold otherwise); the largest predicted
+    has full rank (exact integer rank when every vector is exact, SVD with
+    a relative 1e-8 threshold otherwise); the largest predicted
     eigenvalue comes from XM, is at least m*k^2 - 1 and matches the oracle
     maximum; and the predicted multiset -- the families' eigenvalues --
     matches the float oracle pairwise within spectrum_tol.  Raises

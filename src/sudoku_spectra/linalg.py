@@ -1,12 +1,12 @@
-"""Exact dense linear algebra over Python integers and rationals.
+"""Exact dense linear algebra over Python integers.
 
 Matrices and vectors are numpy arrays with ``dtype=object`` holding Python
-ints (or ``fractions.Fraction``), so the usual numpy operators -- ``@``,
-``+``, scalar ``*``, ``.T``, ``np.array_equal`` -- are exact and unbounded;
-shape errors surface as numpy's usual exceptions.  Floating point enters
-only through the eigenvalue oracle `float_eigen`, which is kept as an
-independent cross-check of the exact path and never feeds integrality
-decisions.
+ints only, so the usual numpy operators -- ``@``, ``+``, scalar ``*``,
+``.T``, ``np.array_equal`` -- are exact and unbounded; shape errors surface
+as numpy's usual exceptions; `rank` and `rational_kernel` raise TypeError
+on any other entry.  Floating point enters only through the eigenvalue
+oracle `float_eigen`, which is kept as an independent cross-check of the
+exact path and never feeds integrality decisions.
 
 Polynomials are tuples of Python ints, coefficients in ascending degree
 order.
@@ -15,8 +15,7 @@ order.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, isqrt
 
 import numpy as np
 
@@ -33,8 +32,6 @@ __all__ = [
     "trace",
     "gershgorin_bound",
     "char_poly",
-    "charpoly_berkowitz",
-    "bareiss_det",
     "integer_roots",
     "poly_mul",
     "poly_eval",
@@ -112,6 +109,14 @@ def _require_square(a) -> np.ndarray:
     a = np.asarray(a, dtype=object)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"square matrix required, got shape {a.shape}")
+    return a
+
+
+def _require_ints(a) -> np.ndarray:
+    a = np.asarray(a, dtype=object)
+    for x in a.flat:
+        if type(x) is not int:
+            raise TypeError(f"Python int entries required, got {type(x).__name__}")
     return a
 
 
@@ -242,57 +247,6 @@ def char_poly(a) -> tuple[int, ...]:
     return tuple(c - modulus if c > half else c for c in coeffs)
 
 
-def charpoly_berkowitz(a) -> tuple[int, ...]:
-    """Division-free reference implementation (slow); ascending coeffs.
-
-    Kept as an independent exact route for cross-checking `char_poly` on
-    small matrices.
-    """
-    a = _require_square(a)
-    n = a.shape[0]
-    poly = [1, -int(a[0, 0])]  # descending
-    for k in range(1, n):
-        r = a[k, :k]
-        c = a[:k, k]
-        sub = a[:k, :k]
-        dt = [1, -int(a[k, k])]
-        v = c
-        for t in range(k):
-            dt.append(-int(r @ v))
-            if t < k - 1:
-                v = sub @ v
-        new = [0] * (k + 2)
-        for d, tc in enumerate(dt):
-            if tc:
-                for jj, pc in enumerate(poly):
-                    if d + jj < k + 2:
-                        new[d + jj] += tc * pc
-        poly = new
-    return tuple(reversed(poly))
-
-
-def bareiss_det(a) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    a = _require_square(a)
-    mat = a.copy()
-    n = mat.shape[0]
-    denom = 1
-    sign = 1
-    for c in range(n):
-        piv_row = next((i for i in range(c, n) if mat[i, c] != 0), None)
-        if piv_row is None:
-            return 0
-        if piv_row != c:
-            mat[[c, piv_row]] = mat[[piv_row, c]]
-            sign = -sign
-        piv = mat[c, c]
-        if c + 1 < n:
-            block = mat[c + 1:, c:]
-            mat[c + 1:, c:] = (piv * block - np.outer(mat[c + 1:, c], mat[c, c:])) // denom
-        denom = piv
-    return sign * int(mat[n - 1, n - 1])
-
-
 # ---------------------------------------------------------------------------
 # polynomials
 
@@ -373,7 +327,8 @@ def integer_roots(
 
 
 def _bareiss_echelon(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Fraction-free row echelon form (in place); returns (mat, pivot cols)."""
+    """Row echelon form by fraction-free (Bareiss) elimination, in place;
+    returns (mat, pivot cols)."""
     n_rows, n_cols = mat.shape
     denom = 1
     r = 0
@@ -394,18 +349,6 @@ def _bareiss_echelon(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
         if r == n_rows:
             break
     return mat, pivots
-
-
-def _clear_denominators(a) -> np.ndarray:
-    """Row-wise multiply out Fractions; rank and kernels are unaffected."""
-    arr = np.asarray(a, dtype=object)
-    out = np.empty(arr.shape, dtype=object)
-    for i, row in enumerate(arr):
-        den = 1
-        for x in row:
-            den = lcm(den, x.denominator)
-        out[i, :] = [int(x * den) for x in row]
-    return out
 
 
 def _rank_mod(mat: np.ndarray, p: int) -> int:
@@ -429,13 +372,14 @@ def _rank_mod(mat: np.ndarray, p: int) -> int:
 
 
 def rank(a) -> int:
-    """Exact rank over the rationals (fraction-free elimination).
+    """Exact rank over the rationals of an integer matrix.
 
-    A single-prime modular elimination runs first: rank mod p never exceeds
-    the rational rank, so a full-rank result is already a certificate and
-    the exact elimination is only needed otherwise.
+    Entries must be Python ints (TypeError otherwise).  A single-prime
+    modular elimination runs first: rank mod p never exceeds the rational
+    rank, so a full-rank result is already a certificate and the
+    fraction-free elimination is only needed otherwise.
     """
-    mat = _clear_denominators(a)
+    mat = _require_ints(a)
     if mat.size == 0:
         return 0
     p = _primes(1)[0]
@@ -449,44 +393,51 @@ def rank(a) -> int:
 def rational_kernel(a, lam: int) -> list[np.ndarray]:
     """Exact basis of ker(a - lam*I), as primitive integer vectors.
 
-    Empty iff lam is not an eigenvalue.  Basis vectors are indexed by the
-    free columns of the echelon form (ascending) and sign-normalized so the
-    first nonzero entry is positive.
+    Entries of a must be Python ints (TypeError otherwise).  Empty iff lam
+    is not an eigenvalue.  Basis vectors are indexed by the free columns of
+    the echelon form (ascending) and sign-normalized so the first nonzero
+    entry is positive.  Back-substitution stays in the integers: before
+    solving piv * x[pc] = -s the partial vector is scaled by piv / g, with
+    g = gcd(s, piv), and x[pc] = -s / g.  Since gcd(piv / g, s / g) == 1,
+    the vector stays primitive at every step and needs no final division.
     """
-    a = _require_square(a)
+    a = _require_ints(_require_square(a))
+    lam = operator.index(lam)
     n = a.shape[0]
     mat = a.copy()
     for i in range(n):
         mat[i, i] -= lam
     ech, pivots = _bareiss_echelon(mat)
-    free = [c for c in range(n) if c not in set(pivots)]
+    rows = ech[: len(pivots)].tolist()
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
-        x: list[Fraction | int] = [0] * n
-        x[fc] = Fraction(1)
+    for fc in range(n):
+        if fc in pivot_set:
+            continue
+        x = [0] * n
+        x[fc] = 1
         for ri in range(len(pivots) - 1, -1, -1):
             pc = pivots[ri]
             if pc > fc:
                 continue
-            row = ech[ri]
-            s = Fraction(0)
-            for j in range(pc + 1, n):
+            row = rows[ri]
+            # x is zero beyond fc
+            s = 0
+            for j in range(pc + 1, fc + 1):
                 if x[j] and row[j]:
-                    s += int(row[j]) * x[j]
-            x[pc] = -s / int(row[pc])
-        den = 1
-        for v in x:
-            den = lcm(den, Fraction(v).denominator)
-        ints = [int(v * den) for v in x]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        ints = [v // g for v in ints]
-        first = next(v for v in ints if v)
-        if first < 0:
-            ints = [-v for v in ints]
+                    s += row[j] * x[j]
+            if not s:
+                continue
+            piv = row[pc]
+            g = gcd(s, piv)
+            scale = piv // g
+            if scale != 1:
+                x = [v * scale for v in x]
+            x[pc] = -s // g
+        if next(v for v in x if v) < 0:
+            x = [-v for v in x]
         vec = np.empty(n, dtype=object)
-        vec[:] = ints
+        vec[:] = x
         basis.append(vec)
     return basis
 

@@ -52,12 +52,6 @@ class Spectrum:
             s -= self.residual[-2]
         return s
 
-    def multiplicity(self, lam: int) -> int:
-        for value, mult in self.integer_part:
-            if value == lam:
-                return mult
-        return 0
-
     def digest(self) -> str:
         """Compact one-line form, e.g. '(-3)^1 0^4 3^1' or '... +deg2'."""
         parts = [

@@ -1,8 +1,12 @@
+from fractions import Fraction
+from math import gcd
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import bareiss_det, charpoly_berkowitz
 from sudoku_spectra import linalg as la
 
 
@@ -72,7 +76,7 @@ def test_charpoly_known():
 @settings(max_examples=60, deadline=None)
 def test_charpoly_matches_berkowitz(rows):
     a = la.int_matrix(rows)
-    assert la.char_poly(a) == la.charpoly_berkowitz(a)
+    assert la.char_poly(a) == charpoly_berkowitz(a)
 
 
 @given(small_matrices, st.integers(-4, 4))
@@ -81,7 +85,7 @@ def test_charpoly_eval_is_det(rows, lam):
     a = la.int_matrix(rows)
     n = a.shape[0]
     value = la.poly_eval(la.char_poly(a), lam)
-    assert value == la.bareiss_det(lam * la.identity(n) - a)
+    assert value == bareiss_det(lam * la.identity(n) - a)
 
 
 def test_charpoly_big_entries():
@@ -140,8 +144,8 @@ def test_rational_kernel_scaled_matrix():
 
 
 def test_rational_kernel_clears_denominators():
-    # back-substitution produces 1/2 here; the result is the primitive
-    # integer vector
+    # the pivot 2 does not divide the back-substituted sum, so the partial
+    # vector is scaled up before solving; the result is primitive
     a = la.int_matrix([[0, 2], [2, 3]])  # eigenvalues 4 and -1
     assert [v.tolist() for v in la.rational_kernel(a, 4)] == [[1, 2]]
     assert [v.tolist() for v in la.rational_kernel(a, -1)] == [[2, -1]]
@@ -151,6 +155,32 @@ def test_rational_kernel_two_dimensional():
     b = la.int_matrix([[2, 3, 0], [3, 2, 0], [0, 0, 5]])
     assert [v.tolist() for v in la.rational_kernel(b, 5)] == [[1, 1, 0], [0, 0, 1]]
     assert [v.tolist() for v in la.rational_kernel(b, -1)] == [[1, -1, 0]]
+
+
+@st.composite
+def singular_shifts(draw):
+    """(a, lam) with a - lam*I = u @ w of rank < n, so the kernel is nonempty."""
+    n = draw(st.integers(1, 5))
+    r = draw(st.integers(0, n - 1))
+    u = np.array(draw(st.lists(st.lists(st.integers(-4, 4), min_size=r, max_size=r),
+                               min_size=n, max_size=n)), dtype=object).reshape(n, r)
+    w = np.array(draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                               min_size=r, max_size=r)), dtype=object).reshape(r, n)
+    lam = draw(st.integers(-4, 4))
+    return u @ w + lam * la.identity(n), lam
+
+
+@given(singular_shifts())
+@settings(max_examples=60, deadline=None)
+def test_rational_kernel_vectors_are_primitive(case):
+    a, lam = case
+    vecs = la.rational_kernel(a, lam)
+    assert vecs
+    for v in vecs:
+        assert all(type(x) is int for x in v)
+        assert gcd(*v) == 1
+        assert next(x for x in v if x) > 0
+        assert not np.any((a - lam * la.identity(a.shape[0])) @ v)
 
 
 @given(small_matrices, st.integers(-3, 3))
@@ -171,14 +201,19 @@ def test_rank():
     assert la.rank(la.ones_matrix(3)) == 1
     assert la.rank(la.identity(4)) == 4
     assert la.rank(la.int_matrix([[1, 2], [2, 4]])) == 1
-    from fractions import Fraction
 
-    arr = np.empty((2, 2), dtype=object)
-    arr[0] = [Fraction(1, 2), Fraction(1, 3)]
-    arr[1] = [Fraction(3, 2), Fraction(2, 1)]
-    assert la.rank(arr) == 2
-    arr[1] = [Fraction(3, 2), Fraction(1, 1)]  # second row = 3 * first
-    assert la.rank(arr) == 1
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), 0.5], ids=["Fraction", "float"])
+def test_exact_routines_reject_non_int_entries(entry):
+    # reducing mod p would truncate such an entry to an int without error
+    arr = la.int_matrix([[1, 1], [3, 2]])
+    arr[0, 0] = entry
+    with pytest.raises(TypeError):
+        la.rank(arr)
+    with pytest.raises(TypeError):
+        la.rational_kernel(arr, 0)
+    with pytest.raises(TypeError):
+        la.rational_kernel(la.int_matrix([[1, 1], [3, 2]]), entry)
 
 
 def test_float_eigen_known():

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -48,3 +50,18 @@ def test_blowup_report_script_from_file(tmp_path):
     proc = run("blowup_eigen_report.py", "--tiling", str(path), "--k-max", "3")
     assert proc.returncode == 0, proc.stderr
     assert "rank 36" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["search_integral_tilings.py", "--blowup-k", "0"],
+    ["search_integral_tilings.py", "--m-min", "0"],
+    ["search_integral_tilings.py", "--m-max", "zero"],
+    ["search_integral_tilings.py", "--count", "-3"],
+    ["search_integral_tilings.py", "--m-min", "4", "--m-max", "3"],
+    ["blowup_eigen_report.py", "--builtin", "classical2", "--k-max", "0"],
+], ids=" ".join)
+def test_bad_option_exits_2(argv):
+    proc = run(*argv)
+    assert proc.returncode == 2
+    assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
