@@ -14,51 +14,24 @@ Example:
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from sudoku_spectra.cli import positive_int, search_record
-from sudoku_spectra.integrality import GUARANTEED_INTEGRAL
-
-
-@dataclass
-class Tally:
-    total: int = 0
-    integral: int = 0
-    guaranteed: int = 0
-    integral_inconclusive: int = 0
-    blowup_integral_of_nonintegral: int = 0
-
-
-def run(m: int, count: int, seed: int, blowup_k: int | None, sink) -> Tally:
-    tally = Tally()
-    for i in range(count):
-        record = search_record(m, seed + i, blowup_k)
-        tally.total += 1
-        if record["integral"]:
-            tally.integral += 1
-            if record["theorem_verdict"] == GUARANTEED_INTEGRAL:
-                tally.guaranteed += 1
-            else:
-                tally.integral_inconclusive += 1
-        elif record.get("blowup_integral"):
-            tally.blowup_integral_of_nonintegral += 1
-        if sink:
-            print(json.dumps(record), file=sink)
-    return tally
+from sudoku_spectra.cli import SEARCH_MIN_M, positive_int, search_counts, search_record
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--m-min", type=positive_int, default=2)
+    ap.add_argument("--m-min", type=positive_int, default=SEARCH_MIN_M)
     ap.add_argument("--m-max", type=positive_int, default=5)
     ap.add_argument("--count", type=positive_int, default=100)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--blowup-k", type=positive_int, default=None)
     ap.add_argument("--out", default=None, help="write per-tiling JSONL records here")
     args = ap.parse_args()
+    if args.m_min < SEARCH_MIN_M:
+        ap.error(f"--m-min must be at least {SEARCH_MIN_M}, got {args.m_min}")
     if args.m_min > args.m_max:
         ap.error(f"--m-min {args.m_min} exceeds --m-max {args.m_max}")
 
@@ -69,13 +42,17 @@ def main() -> int:
     print(header)
     try:
         for m in range(args.m_min, args.m_max + 1):
-            tally = run(m, args.count, args.seed, args.blowup_k, sink)
+            records = [search_record(m, args.seed + i, args.blowup_k) for i in range(args.count)]
+            if sink:
+                for record in records:
+                    print(json.dumps(record), file=sink)
+            counts = search_counts(records)
             line = (
-                f"{m:>3} {tally.total:>6} {tally.integral:>9} "
-                f"{tally.guaranteed:>11} {tally.integral_inconclusive:>12}"
+                f"{m:>3} {len(records):>6} {counts['integral']:>9} "
+                f"{counts['guaranteed']:>11} {counts['integral_inconclusive']:>12}"
             )
             if args.blowup_k is not None:
-                line += f" {tally.blowup_integral_of_nonintegral:>19}"
+                line += f" {counts['nonintegral_blowup_integral']:>19}"
             print(line)
     finally:
         if sink:

@@ -7,7 +7,7 @@ through their explicit Kronecker-structured eigenvector bases.
 
 from .blowup import blown_adjacency, reconcile, subsquare_permutation, substitution_set
 from .eigenbasis import build_families, kj_basis, predicted_spectrum, verify
-from .graph import adjacency, block_row_profile, layers, template, verify_layer_structure
+from .graph import adjacency, block_row_profile, layers, template
 from .integrality import check_condition_iii, check_condition_q, check_regcommute, theorem_verdict
 from .spectra import Spectrum, exact_spectrum, is_integral, multipartite_charpoly, multipartite_spectrum
 from .tiling import (
@@ -34,7 +34,6 @@ __all__ = [
     "adjacency",
     "block_row_profile",
     "template",
-    "verify_layer_structure",
     "Spectrum",
     "exact_spectrum",
     "is_integral",

@@ -20,14 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph
-from .linalg import identity, kron, ones_matrix, zeros_matrix
+from .linalg import identity, kron, ones_matrix
 from .tiling import Tiling, blow_up_tiling
 
 __all__ = [
     "SubstitutionSet",
     "substitution_set",
     "blown_adjacency",
-    "substitute_template",
     "subsquare_permutation",
     "reconcile",
 ]
@@ -35,17 +34,14 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SubstitutionSet:
-    """The five k^2-by-k^2 matrices replacing template symbols."""
+    """The k^2-by-k^2 matrices replacing the template symbols H, V, B, D
+    (N, no edge, becomes the zero block)."""
 
     h: np.ndarray
     v: np.ndarray
     b: np.ndarray
     d: np.ndarray
-    n: np.ndarray
     k: int
-
-    def for_symbol(self, symbol: str) -> np.ndarray:
-        return {"H": self.h, "V": self.v, "B": self.b, "D": self.d, "N": self.n}[symbol]
 
 
 def substitution_set(k: int) -> SubstitutionSet:
@@ -58,7 +54,6 @@ def substitution_set(k: int) -> SubstitutionSet:
         v=kron(j_k, i_k),
         b=ones_matrix(k * k),
         d=ones_matrix(k * k) - identity(k * k),
-        n=zeros_matrix(k * k),
         k=k,
     )
 
@@ -75,23 +70,6 @@ def blown_adjacency(t: Tiling, k: int) -> np.ndarray:
         + kron(d.l_v, s.v)
         + kron(identity(t.n_cells), s.d)
     )
-
-
-def substitute_template(t: Tiling, k: int) -> np.ndarray:
-    """Blow-up adjacency by literal symbol-by-symbol block substitution.
-
-    Same result as `blown_adjacency`; kept as a distinct code path so the
-    two constructions check each other.
-    """
-    tmpl = graph.template(t)
-    s = substitution_set(k)
-    n = t.n_cells
-    kk = k * k
-    out = np.empty((n * kk, n * kk), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            out[i * kk:(i + 1) * kk, j * kk:(j + 1) * kk] = s.for_symbol(tmpl[i, j])
-    return out
 
 
 def subsquare_permutation(m: int, k: int) -> np.ndarray:

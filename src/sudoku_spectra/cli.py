@@ -35,6 +35,9 @@ EXIT_INPUT = 2
 EXIT_COMPUTE = 3
 EXIT_VERIFY = 4
 
+# smallest grid a search draws tilings on
+SEARCH_MIN_M = 2
+
 
 def positive_int(text: str) -> int:
     """argparse type for counts and sizes: a bad value exits 2 with usage."""
@@ -233,9 +236,24 @@ def search_record(m: int, seed: int, blowup_k: int | None = None) -> dict:
     return record
 
 
+def search_counts(records) -> dict[str, int]:
+    """Summary counts of search records: integral tilings, certified ones,
+    integral ones the certificate leaves inconclusive, and non-integral ones
+    whose blow-up is integral."""
+    certified = [r["theorem_verdict"] == integrality.GUARANTEED_INTEGRAL for r in records]
+    return {
+        "integral": sum(r["integral"] for r in records),
+        "guaranteed": sum(certified),
+        "integral_inconclusive": sum(r["integral"] and not c for r, c in zip(records, certified)),
+        "nonintegral_blowup_integral": sum(
+            not r["integral"] and r.get("blowup_integral", False) for r in records
+        ),
+    }
+
+
 def cmd_search(args) -> int:
-    if args.m < 2:
-        print("search needs m >= 2", file=sys.stderr)
+    if args.m < SEARCH_MIN_M:
+        print(f"search needs m >= {SEARCH_MIN_M}", file=sys.stderr)
         return EXIT_INPUT
     seeds = range(args.seed, args.seed + args.count)
     one = functools.partial(search_record, args.m, blowup_k=args.blowup_k)
@@ -254,25 +272,10 @@ def cmd_search(args) -> int:
         if args.out:
             out.close()
 
-    n_int = sum(r["integral"] for r in records)
-    n_guar = sum(r["theorem_verdict"] == integrality.GUARANTEED_INTEGRAL for r in records)
-    n_int_inc = sum(
-        r["integral"] and r["theorem_verdict"] != integrality.GUARANTEED_INTEGRAL
-        for r in records
-    )
-    summary = {
-        "summary": True,
-        "m": args.m,
-        "count": args.count,
-        "seed": args.seed,
-        "integral": n_int,
-        "guaranteed": n_guar,
-        "integral_inconclusive": n_int_inc,
-    }
-    if args.blowup_k is not None:
-        summary["nonintegral_blowup_integral"] = sum(
-            (not r["integral"]) and r.get("blowup_integral", False) for r in records
-        )
+    counts = search_counts(records)
+    if args.blowup_k is None:
+        del counts["nonintegral_blowup_integral"]
+    summary = {"summary": True, "m": args.m, "count": args.count, "seed": args.seed, **counts}
     print(json.dumps(summary), file=sys.stderr if args.out is None else sys.stdout)
     return EXIT_OK
 

@@ -226,19 +226,6 @@ def build_families(
     )
 
 
-def _full_eigenvalues(a) -> list[tuple[float | int, bool]]:
-    """All eigenvalues: exact integers plus float residual roots."""
-    spectrum = spectra.exact_spectrum(a)
-    out: list[tuple[float | int, bool]] = [
-        (lam, True) for lam, mult in spectrum.integer_part for _ in range(mult)
-    ]
-    if spectrum.residual_degree:
-        w, _ = linalg._float_eigen_pairs(a)
-        out.extend((float(w[i]), False) for i in _match_residual_indices(w, spectrum.integer_part))
-    out.sort(key=lambda pair: float(pair[0]))
-    return out
-
-
 def predicted_spectrum(t: Tiling, k: int) -> tuple:
     """Predicted eigenvalue multiset of the k-fold blow-up, sorted.
 
@@ -254,12 +241,12 @@ def predicted_spectrum(t: Tiling, k: int) -> tuple:
     values: list[float | int] = []
     if k > 1:
         for layer in (d.l_v, d.l_h):
-            for lam, _exact in _full_eigenvalues(layer):
-                values.extend([lam * k - 1] * (k - 1))
+            for space in eigenvector_basis(layer):
+                values.extend([space.value * k - 1] * (space.dim * (k - 1)))
         values.extend([-1] * ((k - 1) * (k - 1) * n))
     m_matrix = k * k * d.l_b + k * d.l_h + k * d.l_v
-    for lam, _exact in _full_eigenvalues(m_matrix):
-        values.append(lam + k * k - 1)
+    for space in eigenvector_basis(m_matrix):
+        values.extend([space.value + k * k - 1] * space.dim)
     return tuple(sorted(values, key=float))
 
 

@@ -20,20 +20,13 @@ __all__ = [
     "Axis",
     "LayerDecomposition",
     "BlockRowProfile",
-    "StructureReport",
-    "StructureViolation",
     "layers",
     "adjacency",
     "block_row_profile",
     "template",
-    "verify_layer_structure",
 ]
 
 Axis = Literal["row", "column"]
-
-
-class StructureViolation(Exception):
-    """A layer matrix does not have the structure its layer guarantees."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,7 +36,6 @@ class LayerDecomposition:
     l_b: np.ndarray
     l_h: np.ndarray
     l_v: np.ndarray
-    m: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,25 +46,10 @@ class BlockRowProfile:
     axis: Axis
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    """Verified shape of the layers: clique sizes and multipartite parts."""
-
-    n_cliques: int
-    clique_size: int
-    row_parts: tuple[tuple[int, ...], ...]
-    col_parts: tuple[tuple[int, ...], ...]
-
-
-def _grid_index(t: Tiling):
-    m = t.m
-    idx = np.arange(m * m)
-    return idx // m, idx % m, np.array(t.block_of)
-
-
 def layers(t: Tiling) -> LayerDecomposition:
     """Split the rule-derived edges into block / row / column layers."""
-    row, col, blk = _grid_index(t)
+    idx = np.arange(t.n_cells)
+    row, col, blk = idx // t.m, idx % t.m, np.array(t.block_of)
     same_row = row[:, None] == row[None, :]
     same_col = col[:, None] == col[None, :]
     same_blk = blk[:, None] == blk[None, :]
@@ -80,7 +57,7 @@ def layers(t: Tiling) -> LayerDecomposition:
     l_b = np.where(same_blk & off_diag, 1, 0).astype(object)
     l_h = np.where(same_row & ~same_blk, 1, 0).astype(object)
     l_v = np.where(same_col & ~same_blk, 1, 0).astype(object)
-    return LayerDecomposition(l_b, l_h, l_v, t.m)
+    return LayerDecomposition(l_b, l_h, l_v)
 
 
 def adjacency(t: Tiling) -> np.ndarray:
@@ -102,125 +79,18 @@ def block_row_profile(t: Tiling, axis: Axis = "row") -> BlockRowProfile:
 
 
 def template(t: Tiling) -> np.ndarray:
-    """Symbolic template matrix over {D, B, H, V, N}.
+    """Symbolic template matrix over {D, B, H, V, N}, read off `layers`.
 
-    Diagonal is D; off-diagonal entries name the relation between the two
-    cells: same block B, same row (different block) H, same column
-    (different block) V, unrelated N.  Substituting B,H,V -> 1 and D,N -> 0
+    Diagonal is D; an off-diagonal entry names the layer holding that edge:
+    same block B, same row (different block) H, same column (different
+    block) V, no edge N.  Substituting B,H,V -> 1 and D,N -> 0
     reproduces the adjacency matrix.
     """
-    row, col, blk = _grid_index(t)
-    same_row = row[:, None] == row[None, :]
-    same_col = col[:, None] == col[None, :]
-    same_blk = blk[:, None] == blk[None, :]
+    d = layers(t)
     n = t.n_cells
     tmpl = np.full((n, n), "N", dtype="<U1")
-    tmpl[same_blk] = "B"
-    tmpl[same_row & ~same_blk] = "H"
-    tmpl[same_col & ~same_blk] = "V"
+    tmpl[d.l_b == 1] = "B"
+    tmpl[d.l_h == 1] = "H"
+    tmpl[d.l_v == 1] = "V"
     np.fill_diagonal(tmpl, "D")
     return tmpl
-
-
-def _multipartite_parts(sub: np.ndarray) -> tuple[int, ...]:
-    """Part sizes of a complete multipartite graph, or raise.
-
-    Vertices sharing a part must be non-adjacent with identical rows;
-    vertices in different parts must be adjacent.
-    """
-    size = sub.shape[0]
-    part_of = [-1] * size
-    parts: list[list[int]] = []
-    for u in range(size):
-        for pid, members in enumerate(parts):
-            rep = members[0]
-            if sub[u, rep] == 0 and all(sub[u, w] == sub[rep, w] for w in range(size) if w not in (u, rep)):
-                part_of[u] = pid
-                members.append(u)
-                break
-        else:
-            part_of[u] = len(parts)
-            parts.append([u])
-    for u in range(size):
-        for w in range(u + 1, size):
-            expected = 1 if part_of[u] != part_of[w] else 0
-            if sub[u, w] != expected:
-                raise StructureViolation(
-                    f"vertices {u} and {w}: entry {sub[u, w]}, expected {expected}"
-                )
-    return tuple(sorted((len(members) for members in parts), reverse=True))
-
-
-def verify_layer_structure(d: LayerDecomposition) -> StructureReport:
-    """Check the structure the layers guarantee; guards hand-built matrices.
-
-    l_b must be a disjoint union of equal-size cliques; on each row (resp.
-    column) of the grid, l_h (resp. l_v) must induce a complete
-    multipartite graph.  Layers must also be disjoint 0/1 matrices.
-    Raises StructureViolation with the offending location otherwise.
-    """
-    m = d.m
-    n = m * m
-    for name, layer in (("l_b", d.l_b), ("l_h", d.l_h), ("l_v", d.l_v)):
-        if layer.shape != (n, n):
-            raise StructureViolation(f"{name}: expected shape {(n, n)}")
-        if not np.array_equal(layer, layer.T):
-            raise StructureViolation(f"{name}: not symmetric")
-        if any(layer[i, i] != 0 for i in range(n)):
-            raise StructureViolation(f"{name}: nonzero diagonal")
-    total = d.l_b + d.l_h + d.l_v
-    if any(x not in (0, 1) for x in total.flat):
-        raise StructureViolation("layers overlap or carry entries outside {0,1}")
-
-    # block layer: disjoint cliques of one common size
-    seen = [False] * n
-    comp_sizes = []
-    for v in range(n):
-        if seen[v]:
-            continue
-        stack, comp = [v], []
-        seen[v] = True
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in range(n):
-                if d.l_b[u, w] and not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        for u in comp:
-            for w in comp:
-                if u != w and d.l_b[u, w] != 1:
-                    raise StructureViolation(
-                        f"l_b: component of vertex {v} is not a clique (missing {u}-{w})"
-                    )
-        comp_sizes.append(len(comp))
-    if len(set(comp_sizes)) != 1:
-        raise StructureViolation(f"l_b: clique sizes differ: {sorted(set(comp_sizes))}")
-
-    row_parts = []
-    col_parts = []
-    for i in range(m):
-        rows = np.arange(i * m, (i + 1) * m)
-        try:
-            row_parts.append(_multipartite_parts(d.l_h[np.ix_(rows, rows)]))
-        except StructureViolation as exc:
-            raise StructureViolation(f"l_h, row {i + 1}: {exc}") from None
-        cols = np.arange(i, n, m)
-        try:
-            col_parts.append(_multipartite_parts(d.l_v[np.ix_(cols, cols)]))
-        except StructureViolation as exc:
-            raise StructureViolation(f"l_v, column {i + 1}: {exc}") from None
-    # off-row entries of l_h must vanish (edges only inside a grid row)
-    row_of = np.arange(n) // m
-    col_of = np.arange(n) % m
-    if any(d.l_h[u, w] for u in range(n) for w in range(n) if row_of[u] != row_of[w]):
-        raise StructureViolation("l_h: edge between different grid rows")
-    if any(d.l_v[u, w] for u in range(n) for w in range(n) if col_of[u] != col_of[w]):
-        raise StructureViolation("l_v: edge between different grid columns")
-
-    return StructureReport(
-        n_cliques=len(comp_sizes),
-        clique_size=comp_sizes[0],
-        row_parts=tuple(row_parts),
-        col_parts=tuple(col_parts),
-    )

@@ -15,7 +15,6 @@ from typing import Iterable
 
 __all__ = [
     "Tiling",
-    "CellIndex",
     "TilingError",
     "TilingSyntaxError",
     "PartitionError",
@@ -88,11 +87,6 @@ class Tiling:
     def block_size(self) -> int:
         return self.n_cells // self.n_blocks
 
-    @property
-    def is_square(self) -> bool:
-        """True when there are m blocks of m cells (the standard shape)."""
-        return self.n_blocks == self.m
-
     def row_of(self, cell: int) -> int:
         """0-based row of a 0-based cell index."""
         return cell // self.m
@@ -101,37 +95,10 @@ class Tiling:
         """0-based column of a 0-based cell index."""
         return cell % self.m
 
-    def cells_in_block(self, block: int) -> tuple[int, ...]:
-        return tuple(c for c, b in enumerate(self.block_of) if b == block)
-
     def block_grid(self) -> list[list[int]]:
         """Block ids as m rows of m entries."""
         m = self.m
         return [list(self.block_of[r * m:(r + 1) * m]) for r in range(m)]
-
-
-@dataclass(frozen=True)
-class CellIndex:
-    """1-based row-major cell index in an m*m grid."""
-
-    index: int
-    m: int
-
-    def __post_init__(self):
-        if not 1 <= self.index <= self.m * self.m:
-            raise ValueError(f"cell index {self.index} outside 1..{self.m * self.m}")
-
-    @property
-    def row(self) -> int:
-        return (self.index - 1) // self.m + 1
-
-    @property
-    def col(self) -> int:
-        return (self.index - 1) % self.m + 1
-
-    @property
-    def zero_based(self) -> int:
-        return self.index - 1
 
 
 def parse_tiling(text: str) -> Tiling:

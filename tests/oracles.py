@@ -1,13 +1,16 @@
-"""Independent exact routes kept as test oracles for `linalg`.
+"""Independent routes kept as test oracles.
 
-Neither is used by the library: `charpoly_berkowitz` cross-checks the
-multi-modular `char_poly`, and `bareiss_det` gives det(lam*I - A) for
-checking characteristic-polynomial evaluations.
+None is used by the library: `charpoly_berkowitz` cross-checks the
+multi-modular `char_poly`, `bareiss_det` gives det(lam*I - A) for checking
+characteristic-polynomial evaluations, and `substitute_template` builds the
+blow-up symbol by symbol as the reference for `blown_adjacency`.
 """
 
 import numpy as np
 
-from sudoku_spectra.linalg import _require_square
+from sudoku_spectra.blowup import substitution_set
+from sudoku_spectra.graph import template
+from sudoku_spectra.linalg import _require_square, zeros_matrix
 
 
 def charpoly_berkowitz(a) -> tuple[int, ...]:
@@ -55,3 +58,17 @@ def bareiss_det(a) -> int:
             mat[c + 1:, c:] = (piv * block - np.outer(mat[c + 1:, c], mat[c, c:])) // denom
         denom = piv
     return sign * int(mat[n - 1, n - 1])
+
+
+def substitute_template(t, k: int) -> np.ndarray:
+    """Blow-up adjacency by literal symbol-by-symbol block substitution."""
+    tmpl = template(t)
+    s = substitution_set(k)
+    block = {"H": s.h, "V": s.v, "B": s.b, "D": s.d, "N": zeros_matrix(k * k)}
+    n = t.n_cells
+    kk = k * k
+    out = np.empty((n * kk, n * kk), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            out[i * kk:(i + 1) * kk, j * kk:(j + 1) * kk] = block[tmpl[i, j]]
+    return out

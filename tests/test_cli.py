@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from sudoku_spectra.cli import main
+from sudoku_spectra.cli import main, search_counts
+from sudoku_spectra.integrality import GUARANTEED_INTEGRAL, INCONCLUSIVE
 from sudoku_spectra.tiling import classical_tiling, render_tiling
 
 NONCOMMUTING4_TEXT = "4\n0 2 1 3\n3 1 2 0\n0 1 2 3\n3 2 1 0\n"
@@ -174,6 +175,30 @@ def test_search_blowup_mode(capsys):
 
 def test_search_rejects_small_m(capsys):
     assert main(["search", "--m", "1", "--count", "1"]) == 2
+
+
+def test_search_counts():
+    records = [
+        {"integral": True, "theorem_verdict": GUARANTEED_INTEGRAL},
+        {"integral": True, "theorem_verdict": INCONCLUSIVE},
+        {"integral": False, "theorem_verdict": INCONCLUSIVE, "blowup_integral": True},
+        {"integral": False, "theorem_verdict": INCONCLUSIVE, "blowup_integral": False},
+        {"integral": False, "theorem_verdict": INCONCLUSIVE},
+    ]
+    assert search_counts(records) == {
+        "integral": 2,
+        "guaranteed": 1,
+        "integral_inconclusive": 1,
+        "nonintegral_blowup_integral": 1,
+    }
+
+
+@pytest.mark.parametrize("blowup", [[], ["--blowup-k", "2"]], ids=["plain", "blowup"])
+def test_search_summary_keys(blowup, capsys):
+    assert main(["search", "--m", "2", "--count", "3", *blowup]) == 0
+    summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    keys = ["summary", "m", "count", "seed", "integral", "guaranteed", "integral_inconclusive"]
+    assert list(summary) == keys + (["nonintegral_blowup_integral"] if blowup else [])
 
 
 def test_blowup_verify_failure_exits_4(classical2_file, monkeypatch, capsys):

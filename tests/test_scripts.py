@@ -55,6 +55,7 @@ def test_blowup_report_script_from_file(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["search_integral_tilings.py", "--blowup-k", "0"],
     ["search_integral_tilings.py", "--m-min", "0"],
+    ["search_integral_tilings.py", "--m-min", "1"],
     ["search_integral_tilings.py", "--m-max", "zero"],
     ["search_integral_tilings.py", "--count", "-3"],
     ["search_integral_tilings.py", "--m-min", "4", "--m-max", "3"],

@@ -1,7 +1,13 @@
 import ast
+import importlib
+import inspect
+import json
 from pathlib import Path
 
-SOURCE_DIR = Path(__file__).resolve().parent.parent / "src" / "sudoku_spectra"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE_DIR = ROOT / "src" / "sudoku_spectra"
+# private, but timed by the benchmark: the float eigenpair routine
+PRIVATE_LAYERS = {"linalg._float_eigen_pairs"}
 
 
 def parsed_sources():
@@ -40,3 +46,21 @@ def test_no_fractions_import():
             if any(name.split(".")[0] == "fractions" for name in modules):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_benchmark_layers_are_functions():
+    # the benchmark's traced run exits on a per-layer metric whose function
+    # is gone; `trace.*` metrics are derived, not functions
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    missing = []
+    for metric in spec["per_layer"]:
+        if metric["name"].startswith("trace."):
+            continue
+        function = metric["name"].rsplit(".", 1)[0]
+        module, attr = function.split(".")
+        mod = importlib.import_module(f"sudoku_spectra.{module}")
+        obj = getattr(mod, attr, None)
+        public = not attr.startswith("_") or function in PRIVATE_LAYERS
+        if not (public and inspect.isfunction(obj) and obj.__module__ == mod.__name__):
+            missing.append(function)
+    assert missing == []

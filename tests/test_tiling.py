@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sudoku_spectra.tiling import (
-    CellIndex,
     PartitionError,
     Tiling,
     TilingSyntaxError,
@@ -73,27 +72,15 @@ def test_parse_partition_errors():
         parse_tiling("2\n0 0\n-1 -1")
 
 
-def test_cell_index():
-    c = CellIndex(7, 4)
-    assert (c.row, c.col) == (2, 3)
-    assert c.zero_based == 6
-    assert CellIndex(1, 4).row == 1
-    assert CellIndex(16, 4).col == 4
-    with pytest.raises(ValueError):
-        CellIndex(17, 4)
-    with pytest.raises(ValueError):
-        CellIndex(0, 4)
-
-
 def test_classical():
     assert classical_tiling(1) == Tiling(1, (0,))
     shidoku = classical_tiling(2)
     assert shidoku.m == 4
     # cells 1,2,5,6 (1-based) form the top-left box
-    assert shidoku.cells_in_block(0) == (0, 1, 4, 5)
+    assert [c for c, b in enumerate(shidoku.block_of) if b == 0] == [0, 1, 4, 5]
     nine = classical_tiling(3)
     assert nine.m == 9 and nine.n_cells == 81
-    assert all(len(nine.cells_in_block(b)) == 9 for b in range(9))
+    assert nine.n_blocks == 9 and nine.block_size == 9
 
 
 def test_row_tiling():
@@ -172,5 +159,5 @@ def test_render_roundtrip(t):
 @settings(max_examples=50, deadline=None)
 def test_random_tiling_valid(m, seed):
     t = random_tiling(m, seed)
-    assert t.is_square
+    assert t.n_blocks == t.m
     assert random_tiling(m, seed) == t
