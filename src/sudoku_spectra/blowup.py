@@ -91,14 +91,15 @@ def subsquare_permutation(m: int, k: int) -> np.ndarray:
     return perm
 
 
-def reconcile(t: Tiling, k: int) -> bool:
+def reconcile(t: Tiling, k: int, blown: np.ndarray) -> bool:
     """True iff the direct and Kronecker constructions agree.
 
     Conjugates the directly built adjacency of the scaled tiling by the
-    subsquare permutation and compares with `blown_adjacency` bit for bit.
+    subsquare permutation and compares with `blown`, the Kronecker-route
+    `blown_adjacency(t, k)`, bit for bit.
     This holds for every tiling; False signals an implementation bug.
     """
     direct = graph.adjacency(blow_up_tiling(t, k))
     perm = subsquare_permutation(t.m, k)
     reordered = direct[np.ix_(perm, perm)]
-    return bool(np.array_equal(reordered, blown_adjacency(t, k)))
+    return bool(np.array_equal(reordered, blown))

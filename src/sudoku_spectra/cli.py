@@ -161,8 +161,10 @@ def cmd_blowup(args) -> int:
     if args.out:
         Path(args.out).write_text(render_tiling(big), encoding="utf-8")
         lines.append(f"wrote blown tiling to {args.out}")
+    # built once: the matrix file, the reconciliation and the eigenbasis
+    # check all read the same Kronecker-route adjacency
+    a = blowup.blown_adjacency(t, k) if args.matrix_out or args.verify else None
     if args.matrix_out:
-        a = blowup.blown_adjacency(t, k)
         if args.matrix_format == "json":
             Path(args.matrix_out).write_text(
                 json.dumps(_matrix_json(a)), encoding="utf-8"
@@ -172,11 +174,11 @@ def cmd_blowup(args) -> int:
             Path(args.matrix_out).write_text("\n".join(rows) + "\n", encoding="utf-8")
         lines.append(f"wrote adjacency ({a.shape[0]}x{a.shape[0]}) to {args.matrix_out}")
     if args.verify:
-        if not blowup.reconcile(t, k):
+        if not blowup.reconcile(t, k, a):
             print("verification failed: direct and Kronecker constructions differ", file=sys.stderr)
             return EXIT_VERIFY
         try:
-            rep = eigenbasis.verify(t, k)
+            rep = eigenbasis.verify(t, k, blown=a)
         except eigenbasis.VerificationFailure as exc:
             print(f"verification failed: {exc}", file=sys.stderr)
             return EXIT_VERIFY

@@ -254,25 +254,12 @@ def _as_float(vec: np.ndarray) -> np.ndarray:
     return np.asarray(vec, dtype=float)
 
 
-def verify(t: Tiling, k: int, residual_tol: float = 1e-8, spectrum_tol: float = 1e-6) -> EigenBasisReport:
-    """Verify the eigenbasis construction against the blown-up graph.
-
-    Checks, in order: every family vector is an eigenvector for its
-    predicted eigenvalue (exactly for integer-path vectors, within
-    residual_tol * ||A|| * ||v|| for approximate ones); the stacked family
-    has full rank (exact integer rank when every vector is exact, SVD with
-    a relative 1e-8 threshold otherwise); the largest predicted
-    eigenvalue comes from XM, is at least m*k^2 - 1 and matches the oracle
-    maximum; and the predicted multiset -- the families' eigenvalues --
-    matches the float oracle pairwise within spectrum_tol.  Raises
-    VerificationFailure naming the first violated clause.
-    """
-    families = build_families(t, k)
-    up_a = blown_adjacency(t, k)
-    dim = up_a.shape[0]
+def _max_residual(families, up_a: np.ndarray, residual_tol: float) -> float:
+    """Eigenvector clause: raise unless every family vector is an
+    eigenvector of up_a for its eigenvalue; return the largest residual of
+    the approximate ones (0.0 when all are exact)."""
     up_f = np.asarray(up_a, dtype=float)
     fro = np.linalg.norm(up_f)
-
     max_residual = 0.0
     for fam in families:
         for vec, mu, exact in zip(fam.vectors, fam.eigenvalues, fam.exact):
@@ -294,14 +281,18 @@ def verify(t: Tiling, k: int, residual_tol: float = 1e-8, spectrum_tol: float = 
                         f"{fam.kind} eigenvalue {mu}: residual {res:.3e} > {allowed:.3e}",
                     )
                 max_residual = max(max_residual, res)
+    return max_residual
 
-    all_exact = all(all(fam.exact) for fam in families)
+
+def _basis_rank(families, dim: int) -> int:
+    """Rank clause: raise unless the stacked family vectors have rank dim;
+    returns the rank."""
     stacked = [vec for fam in families for vec in fam.vectors]
     if len(stacked) != dim:
         raise VerificationFailure(
             "basis-rank", f"{len(stacked)} vectors for dimension {dim}"
         )
-    if all_exact:
+    if all(all(fam.exact) for fam in families):
         mat = np.empty((dim, dim), dtype=object)
         for i, vec in enumerate(stacked):
             mat[i, :] = vec
@@ -312,6 +303,35 @@ def verify(t: Tiling, k: int, residual_tol: float = 1e-8, spectrum_tol: float = 
         total_rank = int(np.sum(sing > 1e-8 * sing[0]))
     if total_rank != dim:
         raise VerificationFailure("basis-rank", f"rank {total_rank} != {dim}")
+    return total_rank
+
+
+def verify(
+    t: Tiling,
+    k: int,
+    residual_tol: float = 1e-8,
+    spectrum_tol: float = 1e-6,
+    blown: np.ndarray | None = None,
+) -> EigenBasisReport:
+    """Verify the eigenbasis construction against the blown-up graph.
+
+    Checks, in order: every family vector is an eigenvector for its
+    predicted eigenvalue (exactly for integer-path vectors, within
+    residual_tol * ||A|| * ||v|| for approximate ones); the stacked family
+    has full rank (exact integer rank when every vector is exact, SVD with
+    a relative 1e-8 threshold otherwise); the largest predicted
+    eigenvalue comes from XM, is at least m*k^2 - 1 and matches the oracle
+    maximum; and the predicted multiset -- the families' eigenvalues --
+    matches the float oracle pairwise within spectrum_tol.  Raises
+    VerificationFailure naming the first violated clause.  Pass `blown`
+    when the caller already holds `blown_adjacency(t, k)`.
+    """
+    families = build_families(t, k)
+    up_a = blown_adjacency(t, k) if blown is None else blown
+    # each clause's dense float and stacked copies are freed on return,
+    # before the float oracle allocates its own
+    max_residual = _max_residual(families, up_a, residual_tol)
+    total_rank = _basis_rank(families, up_a.shape[0])
 
     # the families' own eigenvalues, in the concatenation order
     # predicted_spectrum uses, so the stable sort gives the same tuple

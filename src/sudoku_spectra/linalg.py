@@ -133,8 +133,9 @@ def _require_symmetric(a) -> np.ndarray:
 # det(xI - A) is computed per prime p < 2**27 on A mod p (Hessenberg
 # reduction, then the standard recurrence for Hessenberg characteristic
 # polynomials) and the integer coefficients are recovered by CRT.  The
-# prime count is driven by a Hadamard-type coefficient bound, so the result
-# is provably exact; reduction mod p commutes with the characteristic
+# prime count is driven by a provable coefficient bound from the Frobenius
+# norm (Schur's inequality, then Maclaurin's; see `_coeff_bound`), so the
+# result is exact; reduction mod p commutes with the characteristic
 # polynomial, hence there are no unlucky primes.  All per-prime work runs
 # vectorized in int64 (27-bit primes keep products and length<=512 dot
 # products inside 63 bits).
@@ -173,32 +174,51 @@ def _primes(count: int) -> list[int]:
 
 
 def _coeff_bound(a) -> int:
-    """Bound on |coefficients| of char_poly(a): C(n,j) * (sqrt(n)*amax)^j."""
+    """Bound on |coefficients| of char_poly(a): max_j C(n,j) * r^j, r^2*n >= ||a||_F^2.
+
+    The coefficient of x^(n-j) is +-e_j(lambda), so its size is at most
+    e_j(|lambda|) <= C(n,j) * (sum|lambda_i| / n)^j by Maclaurin's
+    inequality, and sum|lambda_i| / n <= sqrt(sum|lambda_i|^2 / n) by the
+    power-mean inequality.  Schur's inequality sum|lambda_i|^2 <= ||a||_F^2
+    holds for every complex square matrix (the Frobenius norm of a Schur
+    form T = Q* a Q is ||a||_F and its diagonal holds the eigenvalues), so
+    non-symmetric input is covered and r = ceil(sqrt(||a||_F^2 / n))
+    bounds the mean.
+    """
     n = a.shape[0]
-    amax = max((abs(int(x)) for x in a.flat), default=0)
-    if amax == 0:
+    fro2 = sum(int(x) * int(x) for x in a.flat)
+    if fro2 == 0:
         return 1
-    root = isqrt(n * amax * amax) + 1
-    return max(comb(n, j) * root**j for j in range(n + 1))
+    mean2 = -(-fro2 // n)  # r^2 * n >= fro2 iff r^2 >= ceil(fro2 / n)
+    r = isqrt(mean2 - 1) + 1
+    return max(comb(n, j) * r**j for j in range(n + 1))
 
 
 def _charpoly_mod(a_mod: np.ndarray, p: int) -> np.ndarray:
-    """char poly of a matrix over F_p, coefficients ascending, in [0, p)."""
-    h = a_mod.copy()
+    """char poly of a matrix over F_p, coefficients ascending, in [0, p).
+
+    Reduces a_mod (int64, entries in [0, p)) to Hessenberg form in place.
+    """
+    h = a_mod
     n = h.shape[0]
     for j in range(n - 2):
         nz = np.flatnonzero(h[j + 1:, j])
         if nz.size == 0:
             continue
         piv = j + 1 + int(nz[0])
+        # rows j+1.. are already zero left of column j, so row operations
+        # touch columns j.. only; column operations need every row
         if piv != j + 1:
-            h[[j + 1, piv], :] = h[[piv, j + 1], :]
+            h[[j + 1, piv], j:] = h[[piv, j + 1], j:]
             h[:, [j + 1, piv]] = h[:, [piv, j + 1]]
         inv = pow(int(h[j + 1, j]), -1, p)
         f = h[j + 2:, j] * inv % p
-        if np.any(f):
-            h[j + 2:, :] = (h[j + 2:, :] - f[:, None] * h[j + 1, :]) % p
-            h[:, j + 1] = (h[:, j + 1] + h[:, j + 2:] @ f) % p
+        # a row whose multiplier is 0 mod p is left unchanged
+        live = np.flatnonzero(f)
+        if live.size:
+            rows, f = j + 2 + live, f[live]
+            h[rows, j:] = (h[rows, j:] - f[:, None] * h[j + 1, j:]) % p
+            h[:, j + 1] = (h[:, j + 1] + h[:, rows] @ f) % p
     # p_i = (x - h_ii) p_{i-1} - sum_j h_{j,i} (prod of subdiagonal) p_{j-1}
     polys = [np.array([1], dtype=np.int64)]
     for i in range(1, n + 1):
@@ -228,13 +248,18 @@ def char_poly(a) -> tuple[int, ...]:
         # 27-bit primes guarantee int64-safe dot products only up to n=512
         raise DimensionMismatch(f"char_poly supports n <= 512, got {n}")
     target = 2 * _coeff_bound(a) + 1
+    try:
+        # int64 once, so each prime reduces with one vectorized %
+        a_int = a.astype(np.int64)
+    except OverflowError:
+        a_int = a  # entries past 63 bits are reduced on the object array
     coeffs = [0] * (n + 1)
     modulus = 1
     i = 0
     while modulus < target:
         p = _primes(i + 1)[i]
         i += 1
-        residues = _charpoly_mod((a % p).astype(np.int64), p)
+        residues = _charpoly_mod((a_int % p).astype(np.int64, copy=False), p)
         if modulus == 1:
             coeffs = [int(r) for r in residues]
         else:

@@ -101,13 +101,14 @@ def test_criterion_06_condition_iii_crosscheck(random_sample_100, noncommuting4)
 
 def test_criterion_07_blowup_reconciliation(freeform4):
     for k in (2, 3):
-        assert reconcile(freeform4, k)
-        assert reconcile(classical_tiling(2), k)
+        for t in (freeform4, classical_tiling(2)):
+            assert reconcile(t, k, blown_adjacency(t, k))
     count = 0
     for i in range(50):
         m = 2 + i % 3
         k = 1 + i % 3
-        assert reconcile(random_tiling(m, seed=1000 + i), k)
+        t = random_tiling(m, seed=1000 + i)
+        assert reconcile(t, k, blown_adjacency(t, k))
         count += 1
     assert count >= 50
     assert np.array_equal(blown_adjacency(freeform4, 1), adjacency(freeform4))

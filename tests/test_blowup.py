@@ -84,12 +84,10 @@ def test_subsquare_permutation_is_bijection(m, k):
 
 
 def test_reconcile_cases(freeform4):
-    assert reconcile(freeform4, 2)
-    assert reconcile(freeform4, 3)
-    assert reconcile(classical_tiling(2), 2)
-    assert reconcile(classical_tiling(2), 3)
-    assert reconcile(row_tiling(2), 1)
-    assert reconcile(row_tiling(2), 2)
+    cases = [(freeform4, 2), (freeform4, 3), (classical_tiling(2), 2),
+             (classical_tiling(2), 3), (row_tiling(2), 1), (row_tiling(2), 2)]
+    for t, k in cases:
+        assert reconcile(t, k, blown_adjacency(t, k))
 
 
 def test_template_substitution_equals_kron(freeform4):
@@ -100,7 +98,7 @@ def test_template_substitution_equals_kron(freeform4):
 @given(tilings(min_m=1, max_m=4), st.integers(1, 3))
 @settings(max_examples=50, deadline=None)
 def test_reconcile_random(t, k):
-    assert reconcile(t, k)
+    assert reconcile(t, k, blown_adjacency(t, k))
 
 
 @given(tilings(min_m=1, max_m=3), st.integers(1, 3))

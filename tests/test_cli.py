@@ -205,12 +205,56 @@ def test_blowup_verify_failure_exits_4(classical2_file, monkeypatch, capsys):
     import sudoku_spectra.cli as cli_mod
     from sudoku_spectra.eigenbasis import VerificationFailure
 
-    def boom(t, k):
+    def boom(t, k, **kwargs):
         raise VerificationFailure("basis-rank", "injected")
 
     monkeypatch.setattr(cli_mod.eigenbasis, "verify", boom)
     assert main(["blowup", classical2_file, "--k", "2", "--verify"]) == 4
     assert "verification failed" in capsys.readouterr().err
+
+
+def test_blowup_verify_constructions_differ_exits_4(classical2_file, monkeypatch, capsys):
+    import sudoku_spectra.blowup as blowup_mod
+
+    real = blowup_mod.blown_adjacency
+
+    def one_edge_off(t, k):
+        a = real(t, k)
+        a[0, 1] = a[1, 0] = 1 - a[0, 1]
+        return a
+
+    monkeypatch.setattr(blowup_mod, "blown_adjacency", one_edge_off)
+    assert main(["blowup", classical2_file, "--k", "2", "--verify"]) == 4
+    assert "constructions differ" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [[], ["--matrix-out", "m.txt"]], ids=["verify", "verify+matrix"])
+def test_blowup_verify_builds_blown_adjacency_once(classical2_file, tmp_path, monkeypatch, extra):
+    import sys
+
+    import sudoku_spectra.blowup as blowup_mod
+
+    real = blowup_mod.blown_adjacency
+    calls = []
+
+    def counted(t, k):
+        calls.append(k)
+        return real(t, k)
+
+    # every module that bound the function by name, as well as its home
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("sudoku_spectra") and \
+                getattr(mod, "blown_adjacency", None) is real:
+            monkeypatch.setattr(mod, "blown_adjacency", counted)
+    monkeypatch.chdir(tmp_path)
+    assert main(["blowup", classical2_file, "--k", "2", "--verify", *extra]) == 0
+    assert calls == [2]
+
+
+def test_search_past_char_poly_limit_exits_3(capsys):
+    # the 8-fold blow-up of a 3x3 tiling has 576 vertices
+    assert main(["search", "--m", "3", "--count", "1", "--blowup-k", "8"]) == 3
+    assert "char_poly supports n <= 512" in capsys.readouterr().err
 
 
 def test_compute_error_exits_3(classical2_file, monkeypatch, capsys):

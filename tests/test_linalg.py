@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 import pytest
@@ -86,6 +86,72 @@ def test_charpoly_eval_is_det(rows, lam):
     n = a.shape[0]
     value = la.poly_eval(la.char_poly(a), lam)
     assert value == bareiss_det(lam * la.identity(n) - a)
+
+
+@st.composite
+def permuted_block_diagonals(draw):
+    """A block-diagonal matrix, rows and columns permuted alike: its
+    Hessenberg form has zero subdiagonal entries between the blocks."""
+    n = draw(st.integers(6, 12))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=4)))
+    a = np.zeros((n, n), dtype=object)
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        size = hi - lo
+        block = draw(st.lists(st.integers(-3, 3), min_size=size * size, max_size=size * size))
+        a[lo:hi, lo:hi] = np.array(block, dtype=object).reshape(size, size)
+    perm = draw(st.permutations(range(n)))
+    return a[np.ix_(perm, perm)]
+
+
+@given(permuted_block_diagonals())
+@settings(max_examples=40, deadline=None)
+def test_charpoly_matches_berkowitz_block_diagonal(a):
+    assert la.char_poly(a) == charpoly_berkowitz(a)
+
+
+@st.composite
+def prime_multiple_matrices(draw):
+    """Entries c + u * p with p the first CRT prime: many vanish mod p but
+    not mod the next primes, so the pivot rows differ between primes."""
+    p = la._primes(1)[0]
+    n = draw(st.integers(2, 8))
+    entries = st.builds(lambda c, u: c + u * p, st.integers(-1, 1), st.integers(-2, 2))
+    return la.int_matrix(draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                       min_size=n, max_size=n)))
+
+
+@given(prime_multiple_matrices())
+@settings(max_examples=40, deadline=None)
+def test_charpoly_matches_berkowitz_prime_multiples(a):
+    assert la.char_poly(a) == charpoly_berkowitz(a)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_coeff_bound_scaled_identity(n):
+    # c*I has char poly (x - c)^n, whose coefficients C(n,j)*|c|^j are the
+    # bound's equality case
+    for c in range(-5, 6):
+        bound = la._coeff_bound(c * la.identity(n))
+        assert all(bound >= comb(n, j) * abs(c) ** j for j in range(n + 1))
+
+
+@given(st.integers(1, 7).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+@settings(max_examples=60, deadline=None)
+def test_coeff_bound_covers_coefficients(rows):
+    # non-symmetric input: the Schur inequality still bounds the eigenvalues
+    a = la.int_matrix(rows)
+    assert la._coeff_bound(a) >= max(abs(c) for c in charpoly_berkowitz(a))
+
+
+def test_coeff_bound_classical4_bits():
+    # the Frobenius-norm bound: 765 bits (29 primes); the amax bound was
+    # 1065 bits (40 primes); the coefficients themselves have 462 bits
+    from sudoku_spectra.graph import adjacency
+    from sudoku_spectra.tiling import classical_tiling
+
+    assert la._coeff_bound(adjacency(classical_tiling(4))).bit_length() <= 766
 
 
 def test_charpoly_big_entries():
@@ -271,3 +337,9 @@ def test_trace_and_gershgorin():
 def test_charpoly_dimension_guard():
     with pytest.raises(la.DimensionMismatch):
         la.char_poly(np.zeros((2, 3), dtype=object))
+
+
+def test_charpoly_size_limit():
+    # int64 dot products of 27-bit residues are exact up to n = 512
+    with pytest.raises(la.DimensionMismatch, match="n <= 512"):
+        la.char_poly(np.zeros((513, 513), dtype=object))
