@@ -17,7 +17,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from sudoku_spectra.cli import positive_int
+from sudoku_spectra.cli import positive_int, run_guarded
 from sudoku_spectra.eigenbasis import verify
 from sudoku_spectra.tiling import classical_tiling, from_cell_sets, parse_tiling
 
@@ -36,8 +36,10 @@ def main() -> int:
     src.add_argument("--tiling", help="tiling file")
     src.add_argument("--builtin", choices=sorted(BUILTINS))
     ap.add_argument("--k-max", type=positive_int, default=3)
-    args = ap.parse_args()
+    return run_guarded(report, ap.parse_args())
 
+
+def report(args) -> int:
     if args.builtin:
         t = BUILTINS[args.builtin]()
     else:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from sudoku_spectra.cli import SEARCH_MIN_M, positive_int, search_counts, search_record
+from sudoku_spectra.cli import SEARCH_MIN_M, positive_int, run_guarded, search_counts, search_record
 
 
 def main() -> int:
@@ -34,7 +34,10 @@ def main() -> int:
         ap.error(f"--m-min must be at least {SEARCH_MIN_M}, got {args.m_min}")
     if args.m_min > args.m_max:
         ap.error(f"--m-min {args.m_min} exceeds --m-max {args.m_max}")
+    return run_guarded(sweep, args)
 
+
+def sweep(args) -> int:
     sink = open(args.out, "w", encoding="utf-8") if args.out else None
     header = f"{'m':>3} {'total':>6} {'integral':>9} {'guaranteed':>11} {'int&inconcl':>12}"
     if args.blowup_k is not None:

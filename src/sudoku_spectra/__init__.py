@@ -6,7 +6,7 @@ through their explicit Kronecker-structured eigenvector bases.
 """
 
 from .blowup import blown_adjacency, reconcile, subsquare_permutation, substitution_set
-from .eigenbasis import build_families, kj_basis, predicted_spectrum, verify
+from .eigenbasis import blowup_is_integral, build_families, kj_basis, predicted_spectrum, verify
 from .graph import adjacency, block_row_profile, layers, template
 from .integrality import check_condition_iii, check_condition_q, check_regcommute, theorem_verdict
 from .spectra import Spectrum, exact_spectrum, is_integral, multipartite_charpoly, multipartite_spectrum
@@ -49,6 +49,7 @@ __all__ = [
     "reconcile",
     "kj_basis",
     "build_families",
+    "blowup_is_integral",
     "predicted_spectrum",
     "verify",
 ]

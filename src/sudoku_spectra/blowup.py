@@ -41,7 +41,6 @@ class SubstitutionSet:
     v: np.ndarray
     b: np.ndarray
     d: np.ndarray
-    k: int
 
 
 def substitution_set(k: int) -> SubstitutionSet:
@@ -54,7 +53,6 @@ def substitution_set(k: int) -> SubstitutionSet:
         v=kron(j_k, i_k),
         b=ones_matrix(k * k),
         d=ones_matrix(k * k) - identity(k * k),
-        k=k,
     )
 
 

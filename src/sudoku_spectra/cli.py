@@ -220,7 +220,8 @@ def cmd_blowup(args) -> int:
 
 def search_record(m: int, seed: int, blowup_k: int | None = None) -> dict:
     """The search record of random_tiling(m, seed): exact integrality, the
-    certificate's verdict and, given blowup_k, integrality of that blow-up."""
+    certificate's verdict and, given blowup_k, integrality of that blow-up,
+    read off the blow-up's N x N seeds (`eigenbasis.blowup_is_integral`)."""
     t = random_tiling(m, seed)
     s = spectra.exact_spectrum(graph.adjacency(t))
     rep = integrality.theorem_verdict(t)
@@ -232,9 +233,8 @@ def search_record(m: int, seed: int, blowup_k: int | None = None) -> dict:
         "spectrum": s.digest(),
     }
     if blowup_k is not None:
-        blown = blowup.blown_adjacency(t, blowup_k)
         record["blowup_k"] = blowup_k
-        record["blowup_integral"] = spectra.exact_spectrum(blown).is_integral
+        record["blowup_integral"] = eigenbasis.blowup_is_integral(t, blowup_k)
     return record
 
 
@@ -357,17 +357,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run_guarded(func, args) -> int:
+    """func(args)'s exit code; an input error exits 2 and a computational
+    error exits 3, each with a one-line message instead of a traceback."""
     try:
-        return args.func(args)
-    except (TilingError, FileNotFoundError, OSError) as exc:
+        return func(args)
+    except (TilingError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ConvergenceError, linalg.DimensionMismatch, ArithmeticError) as exc:
         print(f"compute error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    return run_guarded(args.func, args)
 
 
 if __name__ == "__main__":

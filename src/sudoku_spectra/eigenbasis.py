@@ -1,24 +1,21 @@
 """Explicit eigenvector basis of a blown-up free-form Sudoku graph.
 
 For a blow-up factor k, a full eigenbasis of the blown-up adjacency (in
-subsquare vertex order) is assembled from Kronecker products built out of
-the original graph's layers:
+subsquare vertex order) is assembled from Kronecker products x (x) w of an
+N x N seed's eigenvector x and a k^2-vector w, one family per row of
+`_family_table`:
 
-  XV:  x (x) 1_k (x) y   x an eigenvector of l_v (value lam), y in ker(J_k)
-                         -> eigenvalue lam*k - 1
-  XH:  x (x) y (x) 1_k   x an eigenvector of l_h (value lam), y in ker(J_k)
-                         -> eigenvalue lam*k - 1
-  XE:  e_i (x) y (x) z   e_i standard basis, y, z in ker(J_k)
-                         -> eigenvalue -1
-  XM:  x (x) 1_{k^2}     x an eigenvector of M = k^2 l_b + k l_h + k l_v
-                         (value lam) -> eigenvalue lam + k^2 - 1
+  XV:  seed l_v,  w = 1_k (x) y   -> eigenvalue lam*k - 1
+  XH:  seed l_h,  w = y (x) 1_k   -> eigenvalue lam*k - 1
+  XE:  seeds e_i, w = y (x) z     -> eigenvalue -1
+  XM:  seed M = k^2 l_b + k l_h + k l_v,  w = 1_{k^2}  -> eigenvalue lam + k^2 - 1
 
-With N cells in the original grid the families have sizes (k-1)N, (k-1)N,
-(k-1)^2 N and N, totalling k^2 N, and they are jointly independent; the
-largest eigenvalue always comes from XM.  Eigenvector ingredients with
-integer eigenvalues are exact (integer vectors from rational kernels);
-non-integer eigenpairs come from the floating-point oracle and are flagged
-approximate.
+with lam the seed eigenvalue of x and y, z in ker(J_k).  With N cells in
+the original grid the families have sizes (k-1)N, (k-1)N, (k-1)^2 N and N,
+totalling k^2 N, and they are jointly independent; the largest eigenvalue
+always comes from XM.  Eigenvector ingredients with integer eigenvalues
+are exact (integer vectors from rational kernels); non-integer eigenpairs
+come from the floating-point oracle and are flagged approximate.
 """
 
 from __future__ import annotations
@@ -40,11 +37,10 @@ __all__ = [
     "kj_basis",
     "eigenvector_basis",
     "build_families",
+    "blowup_is_integral",
     "predicted_spectrum",
     "verify",
 ]
-
-FAMILY_KINDS = ("XV", "XH", "XE", "XM")
 
 
 class VerificationFailure(Exception):
@@ -165,13 +161,21 @@ def eigenvector_basis(a) -> list[EigenSpace]:
     return spaces
 
 
-def _family(kind, entries) -> EigenFamily:
-    vectors, values, exact = [], [], []
-    for vec, val, ex in entries:
-        vectors.append(vec)
-        values.append(val)
-        exact.append(ex)
-    return EigenFamily(kind, tuple(vectors), tuple(values), tuple(exact))
+def _family_table(t: Tiling, k: int) -> tuple:
+    """The blow-up structure theorem, one row per family: (kind, N x N seed
+    matrix or None for the unit-vector seeds of XE, the k^2-vectors each
+    seed eigenvector is tensored with, seed eigenvalue -> blow-up eigenvalue).
+    """
+    kj = kj_basis(k)
+    ones_k = all_ones(k)
+    d = graph.layers(t)
+    return (
+        ("XV", d.l_v, [kron(ones_k, y) for y in kj], lambda lam: lam * k - 1),
+        ("XH", d.l_h, [kron(y, ones_k) for y in kj], lambda lam: lam * k - 1),
+        ("XE", None, [kron(y, z) for y in kj for z in kj], lambda lam: -1),
+        ("XM", k * k * d.l_b + k * d.l_h + k * d.l_v, [all_ones(k * k)],
+         lambda lam: lam + k * k - 1),
+    )
 
 
 def build_families(
@@ -182,47 +186,37 @@ def build_families(
     For k = 1 the first three families are empty (ker(J_1) is trivial) and
     XM alone is a full eigenbasis of the original adjacency.
     """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    d = graph.layers(t)
-    n = t.n_cells
-    kj = kj_basis(k)
-    ones_k = all_ones(k)
-    ones_k2 = all_ones(k * k)
+    families = []
+    for kind, seed, tails, to_blown in _family_table(t, k):
+        vectors, values, exact = [], [], []
+        if tails:
+            if seed is None:  # XE: its eigenvalue map ignores the value
+                units = tuple(unit_vector(t.n_cells, i) for i in range(t.n_cells))
+                spaces = [EigenSpace(0, units, True)]
+            else:
+                spaces = eigenvector_basis(seed)
+            for space in spaces:
+                mu = to_blown(space.value)
+                for x in space.vectors:
+                    for w in tails:
+                        vectors.append(kron(x, w))
+                        values.append(mu)
+                        exact.append(space.exact)
+        families.append(EigenFamily(kind, tuple(vectors), tuple(values), tuple(exact)))
+    return tuple(families)  # type: ignore[return-value]
 
-    xv = []
-    for space in eigenvector_basis(d.l_v):
-        mu = space.value * k - 1
-        for x in space.vectors:
-            for y in kj:
-                xv.append((kron(kron(x, ones_k), y), mu, space.exact))
 
-    xh = []
-    for space in eigenvector_basis(d.l_h):
-        mu = space.value * k - 1
-        for x in space.vectors:
-            for y in kj:
-                xh.append((kron(kron(x, y), ones_k), mu, space.exact))
+def blowup_is_integral(t: Tiling, k: int) -> bool:
+    """True iff the k-fold blow-up of t has an integral spectrum.
 
-    xe = []
-    for i in range(n):
-        e_i = unit_vector(n, i)
-        for y in kj:
-            for z in kj:
-                xe.append((kron(kron(e_i, y), z), -1, True))
-
-    m_matrix = k * k * d.l_b + k * d.l_h + k * d.l_v
-    xm = []
-    for space in eigenvector_basis(m_matrix):
-        mu = space.value + k * k - 1
-        for x in space.vectors:
-            xm.append((kron(x, ones_k2), mu, space.exact))
-
-    return (
-        _family("XV", xv),
-        _family("XH", xh),
-        _family("XE", xe),
-        _family("XM", xm),
+    Decided on the N x N seeds of the nonempty families, never on the
+    k^2 N blown matrix: a seed eigenvalue lam is an algebraic integer, so
+    lam*k - 1 and lam + k^2 - 1 are integers iff lam is.
+    """
+    return all(
+        spectra.exact_spectrum(seed).is_integral
+        for _, seed, tails, _ in _family_table(t, k)
+        if tails and seed is not None
     )
 
 

@@ -29,12 +29,10 @@ __all__ = [
     "all_ones",
     "unit_vector",
     "kron",
-    "trace",
     "gershgorin_bound",
     "char_poly",
     "integer_roots",
     "poly_mul",
-    "poly_eval",
     "rational_kernel",
     "rank",
     "float_eigen",
@@ -94,10 +92,6 @@ def unit_vector(n: int, i: int) -> np.ndarray:
 def kron(a, b) -> np.ndarray:
     """Kronecker product (matrices or vectors), exact over object dtype."""
     return np.kron(np.asarray(a, dtype=object), np.asarray(b, dtype=object))
-
-
-def trace(a) -> int:
-    return int(sum(a[i, i] for i in range(a.shape[0])))
 
 
 def gershgorin_bound(a) -> int:
@@ -283,13 +277,6 @@ def poly_mul(p, q) -> tuple[int, ...]:
             for j, qj in enumerate(q):
                 out[i + j] += pi * qj
     return tuple(out)
-
-
-def poly_eval(p, x: int) -> int:
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def _deflate(coeffs: list[int], r: int) -> tuple[list[int], int]:

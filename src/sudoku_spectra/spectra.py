@@ -18,7 +18,6 @@ __all__ = [
     "is_integral",
     "multipartite_charpoly",
     "multipartite_spectrum",
-    "spectrum_charpoly",
 ]
 
 
@@ -61,15 +60,6 @@ class Spectrum:
         if self.residual_degree:
             parts.append(f"+deg{self.residual_degree}")
         return " ".join(parts) if parts else "(empty)"
-
-
-def spectrum_charpoly(s: Spectrum) -> tuple[int, ...]:
-    """Reassemble prod (x - lam)^mult * residual."""
-    poly = (1,)
-    for lam, mult in s.integer_part:
-        for _ in range(mult):
-            poly = linalg.poly_mul(poly, (-lam, 1))
-    return linalg.poly_mul(poly, s.residual)
 
 
 def exact_spectrum(a) -> Spectrum:

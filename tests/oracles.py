@@ -4,13 +4,15 @@ None is used by the library: `charpoly_berkowitz` cross-checks the
 multi-modular `char_poly`, `bareiss_det` gives det(lam*I - A) for checking
 characteristic-polynomial evaluations, and `substitute_template` builds the
 blow-up symbol by symbol as the reference for `blown_adjacency`.
+`spectrum_charpoly`, `poly_eval` and `trace` read a spectrum back as the
+quantities `char_poly` and the float oracle are checked against.
 """
 
 import numpy as np
 
 from sudoku_spectra.blowup import substitution_set
 from sudoku_spectra.graph import template
-from sudoku_spectra.linalg import _require_square, zeros_matrix
+from sudoku_spectra.linalg import _require_square, poly_mul, zeros_matrix
 
 
 def charpoly_berkowitz(a) -> tuple[int, ...]:
@@ -72,3 +74,24 @@ def substitute_template(t, k: int) -> np.ndarray:
         for j in range(n):
             out[i * kk:(i + 1) * kk, j * kk:(j + 1) * kk] = block[tmpl[i, j]]
     return out
+
+
+def spectrum_charpoly(s) -> tuple[int, ...]:
+    """Reassemble prod (x - lam)^mult * residual of a `Spectrum`."""
+    poly = (1,)
+    for lam, mult in s.integer_part:
+        for _ in range(mult):
+            poly = poly_mul(poly, (-lam, 1))
+    return poly_mul(poly, s.residual)
+
+
+def poly_eval(p, x: int) -> int:
+    """Value at x of a polynomial with ascending coefficients (Horner)."""
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def trace(a) -> int:
+    return int(sum(a[i, i] for i in range(a.shape[0])))

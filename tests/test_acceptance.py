@@ -22,6 +22,7 @@ from sudoku_spectra.spectra import exact_spectrum, is_integral, multipartite_spe
 from sudoku_spectra.tiling import classical_tiling, random_tiling, row_tiling
 
 from golden import BLOWUP3_H, BLOWUP3_V, FREEFORM4_ADJACENCY, FREEFORM4_TEMPLATE
+from oracles import trace
 from test_integrality import layer_regcommute, layers_commute
 from test_spectra import complete_multipartite
 
@@ -181,5 +182,5 @@ def test_criterion_11_oracle_self_consistency():
             exact.extend(float(x) for x in roots.real)
         assert len(exact) == n
         assert np.allclose(sorted(floats), sorted(exact), atol=SPECTRUM_TOL), trial
-        assert abs(sum(floats) - la.trace(a)) <= TRACE_TOL * n, trial
+        assert abs(sum(floats) - trace(a)) <= TRACE_TOL * n, trial
     report(11, "float oracle matches exact roots and trace on 50 random matrices")

@@ -251,9 +251,51 @@ def test_blowup_verify_builds_blown_adjacency_once(classical2_file, tmp_path, mo
     assert calls == [2]
 
 
-def test_search_past_char_poly_limit_exits_3(capsys):
-    # the 8-fold blow-up of a 3x3 tiling has 576 vertices
-    assert main(["search", "--m", "3", "--count", "1", "--blowup-k", "8"]) == 3
+@pytest.mark.parametrize("seed, integral", [(0, False), (27, True)])
+def test_search_blowup_past_char_poly_limit(seed, integral, capsys):
+    # the 8-fold blow-up of a 3x3 tiling has 576 vertices, past char_poly's
+    # ceiling; its 9x9 seeds decide it
+    import numpy as np
+
+    from sudoku_spectra.blowup import blown_adjacency
+    from sudoku_spectra.tiling import random_tiling
+
+    argv = ["search", "--m", "3", "--count", "1", "--seed", str(seed), "--blowup-k", "8"]
+    assert main(argv) == 0
+    rec = json.loads(capsys.readouterr().out.strip().splitlines()[0])
+    w = np.linalg.eigvalsh(blown_adjacency(random_tiling(3, seed), 8).astype(float))
+    assert rec["blowup_integral"] == bool(np.all(np.abs(w - np.round(w)) < 1e-6)) == integral
+
+
+def test_search_blowup_reads_seeds_only(monkeypatch, capsys):
+    import sudoku_spectra.cli as cli_mod
+    import sudoku_spectra.eigenbasis as eigenbasis_mod
+
+    def forbidden(t, k):
+        raise AssertionError("search built the blown adjacency")
+
+    real = cli_mod.spectra.exact_spectrum
+    sizes = []
+
+    def sized(a):
+        sizes.append((a.shape[0], max(a.flat)))
+        return real(a)
+
+    monkeypatch.setattr(cli_mod.blowup, "blown_adjacency", forbidden)
+    monkeypatch.setattr(eigenbasis_mod, "blown_adjacency", forbidden)
+    monkeypatch.setattr(cli_mod.spectra, "exact_spectrum", sized)
+    # random_tiling(3, 27) is integral, so all three seed spectra are computed
+    assert main(["search", "--m", "3", "--count", "1", "--seed", "27", "--blowup-k", "3"]) == 0
+    # N x N matrices only; the largest entry, k^2 = 9, is M's
+    assert sizes and max(sizes) == (9, 9)
+
+
+def test_spectrum_past_char_poly_limit_exits_3(tmp_path, capsys):
+    from sudoku_spectra.tiling import row_tiling
+
+    path = tmp_path / "r23.tiling"
+    path.write_text(render_tiling(row_tiling(23)))  # 529 vertices
+    assert main(["spectrum", str(path), "--exact"]) == 3
     assert "char_poly supports n <= 512" in capsys.readouterr().err
 
 

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sudoku_spectra import linalg as la
 from sudoku_spectra.blowup import blown_adjacency
 from sudoku_spectra.eigenbasis import (
     VerificationFailure,
+    blowup_is_integral,
     build_families,
     eigenvector_basis,
     kj_basis,
@@ -14,6 +15,7 @@ from sudoku_spectra.eigenbasis import (
     verify,
 )
 from sudoku_spectra.graph import adjacency, layers
+from sudoku_spectra.spectra import exact_spectrum
 from sudoku_spectra.tiling import classical_tiling, random_tiling, row_tiling
 
 from conftest import tilings
@@ -240,3 +242,36 @@ def test_verification_failure_names_clause():
     with pytest.raises(VerificationFailure) as info:
         verify(random_tiling(3, 1), 2, residual_tol=0.0)
     assert info.value.clause == "eigenvector-residual"
+
+
+@given(tilings(min_m=1, max_m=4), st.integers(1, 3))
+@settings(max_examples=15, deadline=None)
+def test_blowup_is_integral_matches_blown_spectrum(t, k):
+    # the N x N seeds decide what the k^2 N blown matrix's spectrum says
+    assume(k * k * t.n_cells <= 512)
+    expected = exact_spectrum(blown_adjacency(t, k)).is_integral
+    assert blowup_is_integral(t, k) == expected
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_blowup_is_integral_classical2(k):
+    t = classical_tiling(2)
+    assert blowup_is_integral(t, k)
+    assert exact_spectrum(blown_adjacency(t, k)).is_integral
+
+
+def test_build_families_k1_skips_empty_families(freeform4, monkeypatch):
+    # at k = 1 only XM has k^2-vectors, so only M's spectrum is computed
+    import sudoku_spectra.spectra as spectra_mod
+
+    real = spectra_mod.exact_spectrum
+    seen = []
+
+    def recorded(a):
+        seen.append(a)
+        return real(a)
+
+    monkeypatch.setattr(spectra_mod, "exact_spectrum", recorded)
+    families = build_families(freeform4, 1)
+    assert [len(f) for f in families] == [0, 0, 0, 16]
+    assert len(seen) == 1 and np.array_equal(seen[0], adjacency(freeform4))

@@ -66,3 +66,22 @@ def test_bad_option_exits_2(argv):
     assert proc.returncode == 2
     assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["blowup_eigen_report.py", "--tiling", "/nonexistent.tiling"], 2),
+    (["blowup_eigen_report.py", "--tiling", "MALFORMED"], 2),
+    (["blowup_eigen_report.py", "--tiling", "ROWS23"], 3),
+    (["search_integral_tilings.py", "--m-min", "23", "--m-max", "23", "--count", "1"], 3),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_script_errors_exit_without_traceback(argv, code, tmp_path):
+    from sudoku_spectra.tiling import render_tiling, row_tiling
+
+    files = {"MALFORMED": "2\n0 0\n1 2\n", "ROWS23": render_tiling(row_tiling(23))}
+    for name, text in files.items():
+        (tmp_path / f"{name}.tiling").write_text(text)
+    proc = run(*(str(tmp_path / f"{a}.tiling") if a in files else a for a in argv))
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    prefix = "input error: " if code == 2 else "compute error: "
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith(prefix)

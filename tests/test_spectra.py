@@ -11,11 +11,11 @@ from sudoku_spectra.spectra import (
     is_integral,
     multipartite_charpoly,
     multipartite_spectrum,
-    spectrum_charpoly,
 )
 from sudoku_spectra.tiling import classical_tiling, random_tiling
 
 from conftest import tilings
+from oracles import spectrum_charpoly, trace
 
 # pinned: exact spectrum of the classical 16-cell graph (7-regular)
 SHIDOKU_SPECTRUM = ((-3, 4), (-1, 5), (1, 4), (3, 2), (7, 1))
@@ -155,7 +155,7 @@ def test_spectrum_invariants(t):
     a = adjacency(t)
     s = exact_spectrum(a)
     assert s.dimension == t.n_cells
-    assert s.eigenvalue_sum == la.trace(a)  # trace of adjacency = 0
+    assert s.eigenvalue_sum == trace(a)  # trace of adjacency = 0
     assert spectrum_charpoly(s) == la.char_poly(a)
 
 
