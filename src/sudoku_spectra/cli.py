@@ -221,7 +221,8 @@ def cmd_blowup(args) -> int:
 def search_record(m: int, seed: int, blowup_k: int | None = None) -> dict:
     """The search record of random_tiling(m, seed): exact integrality, the
     certificate's verdict and, given blowup_k, integrality of that blow-up,
-    read off the blow-up's N x N seeds (`eigenbasis.blowup_is_integral`)."""
+    read off the blow-up's N x N seeds (`eigenbasis.blowup_is_integral`).
+    At k = 1 the blow-up is the tiling itself, whose spectrum is at hand."""
     t = random_tiling(m, seed)
     s = spectra.exact_spectrum(graph.adjacency(t))
     rep = integrality.theorem_verdict(t)
@@ -234,7 +235,9 @@ def search_record(m: int, seed: int, blowup_k: int | None = None) -> dict:
     }
     if blowup_k is not None:
         record["blowup_k"] = blowup_k
-        record["blowup_integral"] = eigenbasis.blowup_is_integral(t, blowup_k)
+        record["blowup_integral"] = (
+            s.is_integral if blowup_k == 1 else eigenbasis.blowup_is_integral(t, blowup_k)
+        )
     return record
 
 

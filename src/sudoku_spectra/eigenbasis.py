@@ -248,33 +248,81 @@ def _as_float(vec: np.ndarray) -> np.ndarray:
     return np.asarray(vec, dtype=float)
 
 
+# Integer products are exact in float64 while every partial sum stays below
+# 2**53 (the FFLAS-FFPACK technique: Dumas, Giorgi, Pernet, ACM TOMS 35(3),
+# 2008).  Exact family vectors are checked _CHUNK at a time in one product.
+_FLOAT64_EXACT = 1 << 53
+_CHUNK = 128
+
+
+def _fits_float64(row_sum: int, mu_max: int, v_max: int) -> bool:
+    """True when a @ V - V * diag(mu) is exact in float64 for an integer
+    matrix a with max_i sum_j |a_ij| = row_sum, integer vectors V with
+    entries at most v_max and integer eigenvalues at most mu_max in size:
+    every entry, partial sum and difference is an integer of size at most
+    (row_sum + mu_max) * v_max, so none rounds below 2**53."""
+    return (row_sum + mu_max) * v_max < _FLOAT64_EXACT
+
+
+def _first_inexact(up_a: np.ndarray, up_f: np.ndarray, vecs, mus) -> int | None:
+    """Index of the first integer vector with up_a @ vec != mu * vec, or None.
+
+    Each chunk of _CHUNK vectors is one float64 product with up_f (up_a as
+    floats) when `_fits_float64` proves it exact, and is checked vector by
+    vector on the object array otherwise.
+    """
+    row_sum = int(np.abs(up_a).sum(axis=1).max())
+    for start in range(0, len(vecs), _CHUNK):
+        chunk, mu = vecs[start:start + _CHUNK], mus[start:start + _CHUNK]
+        v_max = max(int(np.abs(vec).max()) for vec in chunk)
+        if _fits_float64(row_sum, max(abs(m) for m in mu), v_max):
+            v = np.array(chunk, dtype=float).T
+            bad = np.flatnonzero(np.any(up_f @ v != v * np.array(mu, dtype=float), axis=0))
+        else:
+            bad = [
+                j for j, (vec, m) in enumerate(zip(chunk, mu))
+                if np.any(up_a[:, vec != 0] @ vec[vec != 0] != m * vec)
+            ]
+        if len(bad):
+            return start + int(bad[0])
+    return None
+
+
 def _max_residual(families, up_a: np.ndarray, residual_tol: float) -> float:
     """Eigenvector clause: raise unless every family vector is an
     eigenvector of up_a for its eigenvalue; return the largest residual of
-    the approximate ones (0.0 when all are exact)."""
+    the approximate ones (0.0 when all are exact).  The first failing
+    vector in family order is the one reported."""
     up_f = np.asarray(up_a, dtype=float)
     fro = np.linalg.norm(up_f)
+    entries = [
+        (fam.kind, vec, mu, exact)
+        for fam in families
+        for vec, mu, exact in zip(fam.vectors, fam.eigenvalues, fam.exact)
+    ]
+    exact_at = [i for i, e in enumerate(entries) if e[3]]
+    bad = _first_inexact(
+        up_a, up_f, [entries[i][1] for i in exact_at], [entries[i][2] for i in exact_at]
+    )
+    stop = len(entries) if bad is None else exact_at[bad]
     max_residual = 0.0
-    for fam in families:
-        for vec, mu, exact in zip(fam.vectors, fam.eigenvalues, fam.exact):
-            if exact:
-                nz = np.flatnonzero(vec != 0)
-                av = up_a[:, nz] @ vec[nz]
-                if np.any(av - mu * vec != 0):
-                    raise VerificationFailure(
-                        "eigenvector-residual",
-                        f"{fam.kind} vector for eigenvalue {mu} is not exact",
-                    )
-            else:
-                vf = _as_float(vec)
-                res = float(np.linalg.norm(up_f @ vf - mu * vf))
-                allowed = residual_tol * fro * float(np.linalg.norm(vf))
-                if res > allowed:
-                    raise VerificationFailure(
-                        "eigenvector-residual",
-                        f"{fam.kind} eigenvalue {mu}: residual {res:.3e} > {allowed:.3e}",
-                    )
-                max_residual = max(max_residual, res)
+    for kind, vec, mu, exact in entries[:stop]:
+        if exact:
+            continue
+        vf = _as_float(vec)
+        res = float(np.linalg.norm(up_f @ vf - mu * vf))
+        allowed = residual_tol * fro * float(np.linalg.norm(vf))
+        if res > allowed:
+            raise VerificationFailure(
+                "eigenvector-residual",
+                f"{kind} eigenvalue {mu}: residual {res:.3e} > {allowed:.3e}",
+            )
+        max_residual = max(max_residual, res)
+    if bad is not None:
+        kind, _, mu, _ = entries[stop]
+        raise VerificationFailure(
+            "eigenvector-residual", f"{kind} vector for eigenvalue {mu} is not exact"
+        )
     return max_residual
 
 
@@ -311,7 +359,8 @@ def verify(
 
     Checks, in order: every family vector is an eigenvector for its
     predicted eigenvalue (exactly for integer-path vectors, within
-    residual_tol * ||A|| * ||v|| for approximate ones); the stacked family
+    residual_tol * ||A|| * ||v|| for approximate ones; the first failing
+    vector in family order is named); the stacked family
     has full rank (exact integer rank when every vector is exact, SVD with
     a relative 1e-8 threshold otherwise); the largest predicted
     eigenvalue comes from XM, is at least m*k^2 - 1 and matches the oracle
@@ -319,6 +368,14 @@ def verify(
     matches the float oracle pairwise within spectrum_tol.  Raises
     VerificationFailure naming the first violated clause.  Pass `blown`
     when the caller already holds `blown_adjacency(t, k)`.
+
+    The exact eigenvector clause is a proof, not a tolerance.  The integer
+    vectors go through float64 products A @ V, a chunk at a time, and A @ V -
+    V * diag(mu) must be exactly 0.  A chunk takes that route only when
+    (max_i sum_j |a_ij| + max |mu|) * max |v| < 2**53: then every entry,
+    partial sum and difference is an integer below 2**53, so nothing
+    rounds, whatever order BLAS sums in.  A chunk past the bound is checked
+    vector by vector on the object array.
     """
     families = build_families(t, k)
     up_a = blown_adjacency(t, k) if blown is None else blown

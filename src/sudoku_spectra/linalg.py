@@ -336,6 +336,13 @@ def integer_roots(
 
 # ---------------------------------------------------------------------------
 # exact kernels and rank
+#
+# Kernels come from fraction-free (Bareiss) elimination over the integers.
+# `rank` first eliminates mod one 27-bit prime in int64, as the Hessenberg
+# step does: the pivot swap and the row update touch columns c.. only, and
+# only rows whose multiplier is nonzero mod p, so a sparse matrix such as a
+# stacked eigenvector family costs little more than its nonzeros.  Bareiss
+# decides only when that rank falls short of full.
 
 
 def _bareiss_echelon(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -372,11 +379,17 @@ def _rank_mod(mat: np.ndarray, p: int) -> int:
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
+        # rows r.. are already zero left of column c, so the swap and the
+        # update touch columns c.. only
         if piv != r:
-            h[[r, piv]] = h[[piv, r]]
+            h[[r, piv], c:] = h[[piv, r], c:]
         inv = pow(int(h[r, c]), -1, p)
         f = h[r + 1:, c] * inv % p
-        h[r + 1:, :] = (h[r + 1:, :] - f[:, None] * h[r, :]) % p
+        # a row whose multiplier is 0 mod p is left unchanged
+        live = np.flatnonzero(f)
+        if live.size:
+            rows = r + 1 + live
+            h[rows, c:] = (h[rows, c:] - f[live, None] * h[r, c:]) % p
         r += 1
         if r == n_rows:
             break
@@ -387,9 +400,11 @@ def rank(a) -> int:
     """Exact rank over the rationals of an integer matrix.
 
     Entries must be Python ints (TypeError otherwise).  A single-prime
-    modular elimination runs first: rank mod p never exceeds the rational
-    rank, so a full-rank result is already a certificate and the
-    fraction-free elimination is only needed otherwise.
+    modular elimination runs first; it updates only columns from the pivot
+    on and only rows with a nonzero multiplier mod p, which eliminates the
+    same matrix as whole-row updates.  Rank mod p never exceeds the
+    rational rank, so a full-rank result is already a certificate and the
+    fraction-free (Bareiss) elimination is only needed otherwise.
     """
     mat = _require_ints(a)
     if mat.size == 0:

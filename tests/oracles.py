@@ -2,8 +2,10 @@
 
 None is used by the library: `charpoly_berkowitz` cross-checks the
 multi-modular `char_poly`, `bareiss_det` gives det(lam*I - A) for checking
-characteristic-polynomial evaluations, and `substitute_template` builds the
-blow-up symbol by symbol as the reference for `blown_adjacency`.
+characteristic-polynomial evaluations, `rank_mod_dense` is the whole-row
+modular elimination the sparse `linalg._rank_mod` is checked against, and
+`substitute_template` builds the blow-up symbol by symbol as the reference
+for `blown_adjacency`.
 `spectrum_charpoly`, `poly_eval` and `trace` read a spectrum back as the
 quantities `char_poly` and the float oracle are checked against.
 """
@@ -60,6 +62,28 @@ def bareiss_det(a) -> int:
             mat[c + 1:, c:] = (piv * block - np.outer(mat[c + 1:, c], mat[c, c:])) // denom
         denom = piv
     return sign * int(mat[n - 1, n - 1])
+
+
+def rank_mod_dense(mat, p: int) -> int:
+    """Rank mod p by Gaussian elimination that updates every row below the
+    pivot, over all columns."""
+    h = (np.asarray(mat, dtype=object) % p).astype(np.int64)
+    n_rows, n_cols = h.shape
+    r = 0
+    for c in range(n_cols):
+        nz = np.flatnonzero(h[r:, c])
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            h[[r, piv]] = h[[piv, r]]
+        inv = pow(int(h[r, c]), -1, p)
+        f = h[r + 1:, c] * inv % p
+        h[r + 1:, :] = (h[r + 1:, :] - f[:, None] * h[r, :]) % p
+        r += 1
+        if r == n_rows:
+            break
+    return r
 
 
 def substitute_template(t, k: int) -> np.ndarray:

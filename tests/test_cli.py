@@ -290,6 +290,24 @@ def test_search_blowup_reads_seeds_only(monkeypatch, capsys):
     assert sizes and max(sizes) == (9, 9)
 
 
+@pytest.mark.parametrize("m, seed", [(3, 27), (3, 0), (4, 5)])
+def test_search_blowup_k1_reuses_spectrum(m, seed, monkeypatch):
+    # the 1-fold blow-up is the tiling itself: one characteristic polynomial
+    import sudoku_spectra.cli as cli_mod
+
+    real = cli_mod.spectra.exact_spectrum
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape[0])
+        return real(a)
+
+    monkeypatch.setattr(cli_mod.spectra, "exact_spectrum", counted)
+    rec = cli_mod.search_record(m, seed, 1)
+    assert calls == [m * m]
+    assert rec["blowup_k"] == 1 and rec["blowup_integral"] == rec["integral"]
+
+
 def test_spectrum_past_char_poly_limit_exits_3(tmp_path, capsys):
     from sudoku_spectra.tiling import row_tiling
 

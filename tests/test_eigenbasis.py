@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sudoku_spectra import eigenbasis as eigenbasis_mod
 from sudoku_spectra import linalg as la
 from sudoku_spectra.blowup import blown_adjacency
 from sudoku_spectra.eigenbasis import (
@@ -275,3 +278,99 @@ def test_build_families_k1_skips_empty_families(freeform4, monkeypatch):
     families = build_families(freeform4, 1)
     assert [len(f) for f in families] == [0, 0, 0, 16]
     assert len(seen) == 1 and np.array_equal(seen[0], adjacency(freeform4))
+
+
+def _with_vector(families, kind, index, change):
+    """families with vector `index` of family `kind` replaced by change(vec)."""
+    out = []
+    for fam in families:
+        if fam.kind == kind:
+            vectors = list(fam.vectors)
+            vectors[index] = change(vectors[index].copy())
+            fam = dataclasses.replace(fam, vectors=tuple(vectors))
+        out.append(fam)
+    return tuple(out)
+
+
+def _off_by_one(vec):
+    vec[int(np.flatnonzero(vec != 0)[0])] += 1
+    return vec
+
+
+def _verify_with(monkeypatch, t, k, families, **kwargs):
+    monkeypatch.setattr(eigenbasis_mod, "build_families", lambda t_, k_: families)
+    return verify(t, k, **kwargs)
+
+
+@pytest.mark.parametrize("kind, index, mu", [
+    ("XV", 0, -5), ("XH", 12, 3), ("XE", 7, -1), ("XM", 13, 15), ("XM", 15, 23),
+])
+def test_exact_vector_off_by_one_fails(kind, index, mu, monkeypatch):
+    t = classical_tiling(2)
+    families = build_families(t, 2)
+    assert all(all(fam.exact) for fam in families)
+    bad = _with_vector(families, kind, index, _off_by_one)
+    with pytest.raises(VerificationFailure) as info:
+        _verify_with(monkeypatch, t, 2, bad)
+    assert info.value.clause == "eigenvector-residual"
+    assert str(info.value) == f"eigenvector-residual: {kind} vector for eigenvalue {mu} is not exact"
+
+
+@pytest.mark.parametrize("index", [5, 13, 47, 61])
+def test_exact_failure_names_vector_past_first_chunk(index, monkeypatch):
+    # eight chunks of eight: the failing vector's position is chunk start
+    # plus its place in the chunk
+    monkeypatch.setattr(eigenbasis_mod, "_CHUNK", 8)
+    t = classical_tiling(2)
+    families = build_families(t, 2)  # four families of 16
+    fam = families[index // 16]
+    mu = fam.eigenvalues[index % 16]
+    bad = _with_vector(families, fam.kind, index % 16, _off_by_one)
+    with pytest.raises(VerificationFailure, match=rf"^eigenvector-residual: {fam.kind} vector "
+                       rf"for eigenvalue {mu} is not exact$"):
+        _verify_with(monkeypatch, t, 2, bad)
+
+
+def test_float64_bound_counts_the_eigenvalue():
+    # (row_sum + |mu|) * max|v| < 2**53, strictly
+    assert eigenbasis_mod._fits_float64(6, 1, 2**50)
+    assert not eigenbasis_mod._fits_float64(7, 1, 2**50)
+    # row_sum * max|v| alone is below 2**53 here
+    assert not eigenbasis_mod._fits_float64(23, 23, 2**48)
+    assert not eigenbasis_mod._fits_float64(2**52, 2**52, 1)
+
+
+@pytest.mark.parametrize("scale", [2**50, 2**60, 2**200])
+def test_scaled_exact_vector_takes_object_fallback(scale, monkeypatch):
+    # the blown classical n=2 matrix has row sums 23, so a vector scaled
+    # past 2**53 / 46 fails the float64 bound; at 2**60 and beyond, float64
+    # could not even hold the entries of the vector off by one
+    t = classical_tiling(2)
+    families = build_families(t, 2)
+    assert families[3].eigenvalues[15] == 23
+    scaled = _with_vector(families, "XM", 15, lambda v: v * scale)
+    assert not eigenbasis_mod._fits_float64(23, 23, scale)
+    rep = _verify_with(monkeypatch, t, 2, scaled)
+    assert rep.total_rank == 64 and rep.max_residual == 0.0
+    bad = _with_vector(families, "XM", 15, lambda v: _off_by_one(v * scale))
+    with pytest.raises(VerificationFailure, match="XM vector for eigenvalue 23 is not exact"):
+        _verify_with(monkeypatch, t, 2, bad)
+
+
+@pytest.mark.parametrize("kind, index, tol, message", [
+    ("XE", 0, 1e-8, "XE vector for eigenvalue -1 is not exact"),
+    ("XH", 2, 1e-8, "XH vector for eigenvalue -3 is not exact"),
+    # an approximate vector ahead of the broken exact one fails first
+    ("XE", 0, 0.0, "XV eigenvalue -3.8"),
+    ("XV", 2, 0.0, "XV eigenvalue -3.8"),
+])
+def test_first_failure_in_family_order(kind, index, tol, message, monkeypatch):
+    # random_tiling(3, 1) mixes approximate and exact vectors in XV and XH
+    t = random_tiling(3, 1)
+    families = build_families(t, 2)
+    fam = next(f for f in families if f.kind == kind)
+    assert fam.exact[index] and not families[0].exact[0]
+    bad = _with_vector(families, kind, index, _off_by_one)
+    with pytest.raises(VerificationFailure) as info:
+        _verify_with(monkeypatch, t, 2, bad, residual_tol=tol)
+    assert str(info.value).startswith(f"eigenvector-residual: {message}")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bareiss_det, charpoly_berkowitz, poly_eval, trace
+from oracles import bareiss_det, charpoly_berkowitz, poly_eval, rank_mod_dense, trace
 from sudoku_spectra import linalg as la
 
 
@@ -267,6 +267,48 @@ def test_rank():
     assert la.rank(la.ones_matrix(3)) == 1
     assert la.rank(la.identity(4)) == 4
     assert la.rank(la.int_matrix([[1, 2], [2, 4]])) == 1
+
+
+def _draw_matrix(draw, n_rows, n_cols, elements):
+    cells = draw(st.lists(elements, min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+    return np.array(cells, dtype=object).reshape(n_rows, n_cols)
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """Rectangular u @ w of rank at most r: u and w under random sparsity
+    masks, some rows and columns zeroed, and sometimes multiples of the
+    first CRT prime p added, so the rank mod p falls below the rational
+    rank and `rank` needs its Bareiss fallback."""
+    n_rows, n_cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    r = draw(st.integers(0, min(n_rows, n_cols)))
+    sparse = st.integers(-3, 3).flatmap(lambda x: st.sampled_from([0, x]))
+    u = _draw_matrix(draw, n_rows, r, sparse)
+    w = _draw_matrix(draw, r, n_cols, sparse)
+    a = u @ w if r else np.full((n_rows, n_cols), 0, dtype=object)
+    a[draw(st.lists(st.integers(0, n_rows - 1), max_size=2)), :] = 0
+    a[:, draw(st.lists(st.integers(0, n_cols - 1), max_size=2))] = 0
+    if draw(st.booleans()):
+        a = a + la._primes(1)[0] * _draw_matrix(draw, n_rows, n_cols, st.integers(-1, 1))
+    return a
+
+
+@given(low_rank_matrices())
+@settings(max_examples=200, deadline=None)
+def test_rank_matches_bareiss(a):
+    # the modular rank certifies only full rank; otherwise Bareiss decides
+    assert la.rank(a) == len(la._bareiss_echelon(a.copy())[1])
+    p = la._primes(1)[0]
+    # the sparse update eliminates exactly what the whole-row update does
+    assert la._rank_mod(a, p) == rank_mod_dense(a, p)
+
+
+def test_rank_mod_below_rational_rank():
+    # diag(1, p) has rank 2 over the rationals and rank 1 mod p
+    p = la._primes(1)[0]
+    a = la.int_matrix([[1, 0], [0, p]])
+    assert la._rank_mod(a, p) == rank_mod_dense(a, p) == 1
+    assert la.rank(a) == 2
 
 
 @pytest.mark.parametrize("entry", [Fraction(1, 2), 0.5], ids=["Fraction", "float"])
