@@ -26,7 +26,7 @@ import numpy as np
 
 from . import graph, linalg, spectra
 from .blowup import blown_adjacency
-from .linalg import all_ones, kron, unit_vector
+from .linalg import ConvergenceError, all_ones, kron, unit_vector
 from .tiling import Tiling
 
 __all__ = [
@@ -110,15 +110,25 @@ def kj_basis(k: int) -> list[np.ndarray]:
     return out
 
 
-def _match_residual_indices(w: np.ndarray, integer_part, atol: float = 1e-6) -> list[int]:
+def _match_residual_indices(w: np.ndarray, spectrum, atol: float = 1e-6) -> list[int]:
     """Indices of the float eigenvalues not accounted for by integer ones.
 
     Both lists are ascending and the integer multiset is a sub-multiset of
-    the true spectrum, so a greedy sweep pairs them off; near-collisions
-    within atol are harmless downstream (the residual tolerance absorbs
-    them).
+    the true spectrum, so a greedy sweep pairs them off.  The sweep is
+    trusted only once `linalg.has_root_near` has shown, exactly, that the
+    residual polynomial has no root within 2 * atol of any integer
+    eigenvalue lam: then a float eigenvalue within atol of lam, computed
+    with an error below atol, is lam itself.  ConvergenceError names lam
+    otherwise.
     """
-    ints = [lam for lam, mult in integer_part for _ in range(mult)]
+    den = round(1 / (2 * atol))
+    for lam, _ in spectrum.integer_part:
+        if linalg.has_root_near(spectrum.residual, lam, den):
+            raise ConvergenceError(
+                f"a non-integer eigenvalue lies within {2 * atol:g} of eigenvalue {lam}; "
+                "the float eigenvalues cannot be paired"
+            )
+    ints = [lam for lam, mult in spectrum.integer_part for _ in range(mult)]
     leftover = []
     pos = 0
     for idx, val in enumerate(w):
@@ -153,7 +163,7 @@ def eigenvector_basis(a) -> list[EigenSpace]:
         spaces.append(EigenSpace(lam, tuple(vecs), True))
     if spectrum.residual_degree:
         w, v = linalg._float_eigen_pairs(a)
-        for idx in _match_residual_indices(w, spectrum.integer_part):
+        for idx in _match_residual_indices(w, spectrum):
             spaces.append(EigenSpace(float(w[idx]), (v[:, idx].copy(),), False))
     spaces.sort(key=lambda s: (float(s.value), not s.exact))
     if sum(s.dim for s in spaces) != n:
@@ -251,7 +261,6 @@ def _as_float(vec: np.ndarray) -> np.ndarray:
 # Integer products are exact in float64 while every partial sum stays below
 # 2**53 (the FFLAS-FFPACK technique: Dumas, Giorgi, Pernet, ACM TOMS 35(3),
 # 2008).  Exact family vectors are checked _CHUNK at a time in one product.
-_FLOAT64_EXACT = 1 << 53
 _CHUNK = 128
 
 
@@ -261,7 +270,7 @@ def _fits_float64(row_sum: int, mu_max: int, v_max: int) -> bool:
     entries at most v_max and integer eigenvalues at most mu_max in size:
     every entry, partial sum and difference is an integer of size at most
     (row_sum + mu_max) * v_max, so none rounds below 2**53."""
-    return (row_sum + mu_max) * v_max < _FLOAT64_EXACT
+    return (row_sum + mu_max) * v_max < linalg._FLOAT64_EXACT
 
 
 def _first_inexact(up_a: np.ndarray, up_f: np.ndarray, vecs, mus) -> int | None:

@@ -4,9 +4,10 @@ Matrices and vectors are numpy arrays with ``dtype=object`` holding Python
 ints only, so the usual numpy operators -- ``@``, ``+``, scalar ``*``,
 ``.T``, ``np.array_equal`` -- are exact and unbounded; shape errors surface
 as numpy's usual exceptions; `rank` and `rational_kernel` raise TypeError
-on any other entry.  Floating point enters only through the eigenvalue
-oracle `float_eigen`, which is kept as an independent cross-check of the
-exact path and never feeds integrality decisions.
+on any other entry.  Floating point enters through the eigenvalue oracle
+`float_eigen`, an independent cross-check of the exact path, and through
+`integral_spectrum`, whose float eigenvalues only propose the candidates
+that its exact annihilation certificate then proves or rejects.
 
 Polynomials are tuples of Python ints, coefficients in ascending degree
 order.
@@ -22,7 +23,7 @@ import numpy as np
 __all__ = [
     "DimensionMismatch",
     "ConvergenceError",
-    "int_matrix",
+    "CertificateError",
     "identity",
     "ones_matrix",
     "zeros_matrix",
@@ -32,6 +33,8 @@ __all__ = [
     "gershgorin_bound",
     "char_poly",
     "integer_roots",
+    "has_root_near",
+    "integral_spectrum",
     "poly_mul",
     "rational_kernel",
     "rank",
@@ -44,23 +47,17 @@ class DimensionMismatch(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """The floating-point eigensolver missed its residual target."""
+    """The floating-point eigensolver missed its residual target, or its
+    eigenvalues are too close to tell apart."""
+
+
+class CertificateError(ArithmeticError):
+    """An exact certificate contradicts itself: an internal error, never a
+    property of the input."""
 
 
 # ---------------------------------------------------------------------------
 # constructors
-
-
-def int_matrix(rows) -> np.ndarray:
-    """Validate and convert nested iterables to a square object-int matrix."""
-    data = [[operator.index(x) for x in row] for row in rows]
-    n = len(data)
-    if any(len(row) != n for row in data):
-        raise DimensionMismatch("square matrix required")
-    arr = np.empty((n, n), dtype=object)
-    for i, row in enumerate(data):
-        arr[i, :] = row
-    return arr
 
 
 def identity(n: int) -> np.ndarray:
@@ -96,7 +93,7 @@ def kron(a, b) -> np.ndarray:
 
 def gershgorin_bound(a) -> int:
     """max_i sum_j |a_ij|; every real eigenvalue lies in [-bound, bound]."""
-    return max(int(sum(abs(x) for x in row)) for row in a)
+    return int(np.abs(np.asarray(a, dtype=object)).sum(axis=1).max())
 
 
 def _require_square(a) -> np.ndarray:
@@ -332,6 +329,243 @@ def integer_roots(
         if mult:
             roots.append((r, mult))
     return sorted(roots), tuple(coeffs)
+
+
+def _sturm_chain(p) -> list[list[int]]:
+    """Sturm sequence p, p', -rem, ... of an integer polynomial (ascending
+    coefficients), each remainder scaled by a positive integer.
+
+    The pseudo-remainder multiplies by |lc| instead of lc and each member is
+    divided by its (positive) content, so the chain stays in the integers
+    and every member is a positive multiple of the classical one: the sign
+    variations at any point are unchanged.
+    """
+    chain = [list(p), [i * c for i, c in enumerate(p)][1:]]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2][:], chain[-1]
+        db, lc = len(b) - 1, b[-1]
+        scale, sign = abs(lc), 1 if lc > 0 else -1
+        while len(a) > db:
+            head, shift = a[-1], len(a) - 1 - db
+            a = [scale * x for x in a]
+            for i, c in enumerate(b):
+                a[shift + i] -= sign * head * c
+            while len(a) > 1 and a[-1] == 0:
+                a.pop()
+        if not any(a):
+            break
+        g = 0
+        for c in a:
+            g = gcd(g, c)
+        chain.append([-c // g for c in a])
+    return chain
+
+
+def _sign_variations(chain, num: int, den_powers) -> int:
+    """Sign changes along the chain at x = num / den_powers[1]."""
+    signs = []
+    for poly in chain:
+        value = _value_at(poly, num, den_powers[1], den_powers)
+        if value:
+            signs.append(value > 0)
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def _value_at(poly, num: int, den: int, den_powers) -> int:
+    """den**deg * poly(num / den), which has the sign of poly(num / den)
+    (den > 0); den_powers[k] == den**k."""
+    value = 0
+    for k, c in enumerate(reversed(poly)):
+        value = value * num + c * den_powers[k]
+    return value
+
+
+def _taylor_shift(coeffs: list[int], center: int) -> list[int]:
+    """Coefficients (ascending) of p(center + y) in y."""
+    out = list(coeffs)
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] += center * out[j + 1]
+    return out
+
+
+def has_root_near(p, center: int, den: int) -> bool:
+    """True iff the integer polynomial p (ascending coefficients) has a real
+    root x with |x - center| <= 1 / den; exact, integers throughout.
+
+    With y = x - center and p(center + y) = sum b_k y^k, the interval holds
+    no root when |b_0| den^d > sum_{k>=1} |b_k| den^(d-k), since then
+    |p(center + y)| >= |b_0| - sum |b_k| |y|^k > 0 for |y| <= 1 / den.  When
+    that bound cannot exclude the interval, Sturm's theorem counts the
+    distinct roots in it.
+    """
+    coeffs = [operator.index(c) for c in p]
+    if den < 1:
+        raise ValueError(f"den must be positive, got {den}")
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    if len(coeffs) < 2:
+        return not coeffs[0]  # the zero polynomial vanishes everywhere
+    d = len(coeffs) - 1
+    b = _taylor_shift(coeffs, center)
+    if abs(b[0]) * den**d > sum(abs(c) * den ** (d - k) for k, c in enumerate(b) if k):
+        return False
+    den_powers = [den**k for k in range(d + 1)]
+    lo, hi = center * den - 1, center * den + 1
+    if not _value_at(coeffs, lo, den, den_powers) or not _value_at(coeffs, hi, den, den_powers):
+        return True
+    # neither endpoint is a root, so V(lo) - V(hi) counts the roots inside
+    chain = _sturm_chain(coeffs)
+    return _sign_variations(chain, lo, den_powers) > _sign_variations(chain, hi, den_powers)
+
+
+# ---------------------------------------------------------------------------
+# integral spectra by annihilation
+#
+# For a symmetric integer matrix whose float eigenvalues all round to
+# integers, the distinct rounded values S are only a proposal.  A is
+# diagonalizable, so spec A is contained in S iff prod_{lam in S} (A - lam I)
+# is 0.  Every entry of that product is at most prod (rho + |lam|) in size
+# (rho the Gershgorin bound: ||A - lam I||_inf <= rho + |lam| and
+# ||XY||_inf <= ||X||_inf ||Y||_inf), so it is 0 iff it vanishes mod primes
+# whose product exceeds twice that.  Each product runs in float64 BLAS on
+# residues in [0, p) and entries of A, with n (p-1)^2 < 2**53 and
+# 2 rho < p, so every dot product is an integer below 2**53 and exact in any
+# summation order (the FFLAS-FFPACK technique: Dumas, Giorgi, Pernet,
+# ACM TOMS 35(3), 2008).  The multiplicities then solve
+# sum_lam m_lam lam^j = tr(A^j) mod one such prime, j < |S|: p > 2 rho keeps
+# the lam distinct mod p, so the Vandermonde system is invertible, and
+# 0 <= m_lam <= n < p makes its solution the multiplicities themselves.
+
+# integers below this are exact in float64, as are sums that stay below it
+_FLOAT64_EXACT = 1 << 53
+# a float eigenvalue this close to an integer proposes that integer
+_INT_TOL = 1e-6
+
+
+def _certificate_primes(n: int, rho: int, values) -> list[int] | None:
+    """Primes p with n (p-1)^2 < 2**53 and p > max(n, 2 rho), largest first,
+    whose product exceeds 2 prod_{lam in values} (rho + |lam|); at least one.
+    None when the primes in that range run out first."""
+    p = isqrt((_FLOAT64_EXACT - 1) // n) + 1  # largest p with n (p-1)^2 < 2**53
+    floor = max(n, 2 * rho)
+    bound = 2
+    for lam in values:
+        bound *= rho + abs(lam)
+    primes: list[int] = []
+    modulus = 1
+    while not primes or modulus <= bound:
+        while p > floor and not _is_prime(p):
+            p -= 1
+        if p <= floor:
+            return None
+        primes.append(p)
+        modulus *= p
+        p -= 1
+    return primes
+
+
+def _annihilates_mod(a_f: np.ndarray, values, p: int) -> bool:
+    """True iff prod_{lam in values} (A - lam I) == 0 mod p.
+
+    a_f is A in float64.  Each step is prod (A - lam I) = prod @ A - lam prod
+    with prod reduced to [0, p), so every partial sum is at most
+    (p - 1) * 2 rho <= (p - 1)**2 in size: exact.  Two n x n buffers.
+    """
+    diag = np.arange(a_f.shape[0])
+    prod = a_f.copy()
+    prod[diag, diag] -= values[0]
+    np.mod(prod, p, out=prod)
+    out = np.empty_like(prod)
+    for lam in values[1:]:
+        np.matmul(prod, a_f, out=out)
+        prod *= lam
+        out -= prod
+        np.mod(out, p, out=prod)
+    return not prod.any()
+
+
+def _power_traces_mod(a_f: np.ndarray, count: int, p: int) -> list[int]:
+    """tr(A^j) mod p for j < count, A symmetric, given as float64 a_f.
+
+    With P_i = A^i mod p (each P_i @ A has partial sums at most
+    (p - 1) rho), tr(A^(2i)) = <P_i, P_i> and tr(A^(2i+1)) = <P_i, P_(i+1)>:
+    entrywise sums whose row sums stay below n (p-1)^2 < 2**53.
+    """
+    def inner(x, y) -> int:
+        return int(np.mod(np.einsum("ij,ij->i", x, y), p).sum()) % p
+
+    cur = np.mod(a_f, p)
+    traces = [a_f.shape[0] % p, int(np.trace(cur)) % p]
+    while len(traces) < count:
+        traces.append(inner(cur, cur))
+        if len(traces) < count:
+            nxt = np.mod(cur @ a_f, p)
+            traces.append(inner(cur, nxt))
+            cur = nxt
+    return traces[:count]
+
+
+def _solve_mod(rows: list[list[int]], rhs: list[int], p: int) -> list[int]:
+    """The solution mod p of an invertible square system, by elimination."""
+    size = len(rows)
+    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
+    for c in range(size):
+        piv = next(r for r in range(c, size) if aug[r][c] % p)
+        aug[c], aug[piv] = aug[piv], aug[c]
+        inv = pow(aug[c][c], -1, p)
+        aug[c] = [x * inv % p for x in aug[c]]
+        for r in range(size):
+            f = aug[r][c]
+            if r != c and f:
+                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[c])]
+    return [row[size] for row in aug]
+
+
+def integral_spectrum(a) -> list[tuple[int, int]] | None:
+    """Exact (eigenvalue, multiplicity) pairs of a symmetric integer matrix
+    whose eigenvalues are all integers, or None.
+
+    None means only that no certificate was found: some float eigenvalue is
+    more than 1e-6 from an integer, a rounded one lies outside the
+    Gershgorin bound, the primes run out, or the annihilation product has a
+    nonzero residue.  A returned spectrum is proven: the product of
+    (A - lam I) over the rounded values vanishes exactly and the
+    multiplicities come from the power traces (see the section comment).
+    A trace solution outside [0, n], or one not summing to n, raises
+    CertificateError.
+    """
+    a = _require_symmetric(a)
+    n = a.shape[0]
+    if n == 0:
+        return None
+    try:
+        a_f = np.asarray(a, dtype=float)
+        w = np.linalg.eigvalsh(a_f)
+    except (np.linalg.LinAlgError, OverflowError):
+        return None
+    rounded = np.round(w)
+    if not np.all(np.abs(w - rounded) <= _INT_TOL):
+        return None
+    rho = gershgorin_bound(a)
+    values = sorted({int(x) for x in rounded})
+    if any(abs(lam) > rho for lam in values):
+        return None
+    primes = _certificate_primes(n, rho, values)
+    if primes is None:
+        return None
+    # |a_ij| <= rho < p / 2 < 2**53, so a_f holds the entries exactly
+    if not all(_annihilates_mod(a_f, values, p) for p in primes):
+        return None
+    p = primes[0]
+    traces = _power_traces_mod(a_f, len(values), p)
+    vandermonde = [[pow(lam, j, p) for lam in values] for j in range(len(values))]
+    mults = _solve_mod(vandermonde, traces, p)
+    if any(m > n for m in mults) or sum(mults) != n:
+        raise CertificateError(
+            f"trace solve gave multiplicities {mults} for {values} at n = {n}"
+        )
+    return [(lam, m) for lam, m in zip(values, mults) if m]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """Exact spectra: integer eigenvalues with multiplicities plus a residual
 certificate for the non-integer part.
 
-Integrality verdicts come only from the exact path (characteristic
-polynomial and integer root extraction); the floating-point oracle in
-`linalg` is advisory.
+`exact_spectrum` has two routes, and both are exact.  An integral matrix
+is proven integral by annihilation (`linalg.integral_spectrum`): float
+eigenvalues propose the integer candidates S, the product of (A - lam I)
+over S is shown to vanish modulo enough primes, and power traces mod p give
+the multiplicities.  Floats never decide; when no certificate is found,
+the matrix takes the characteristic-polynomial route (`linalg.char_poly`,
+then integer root extraction), whose residual polynomial certifies the
+non-integer part.  Only that route is limited to n <= 512.
 """
 
 from __future__ import annotations
@@ -42,15 +47,6 @@ class Spectrum:
     def is_integral(self) -> bool:
         return self.residual_degree == 0
 
-    @property
-    def eigenvalue_sum(self) -> int:
-        """Sum of all eigenvalues (trace); residual roots enter via the
-        coefficient of its second-highest term."""
-        s = sum(lam * mult for lam, mult in self.integer_part)
-        if self.residual_degree > 0:
-            s -= self.residual[-2]
-        return s
-
     def digest(self) -> str:
         """Compact one-line form, e.g. '(-3)^1 0^4 3^1' or '... +deg2'."""
         parts = [
@@ -65,11 +61,23 @@ class Spectrum:
 def exact_spectrum(a) -> Spectrum:
     """Exact spectrum of a symmetric integer matrix.
 
-    Integer eigenvalues are found by trial division of the characteristic
-    polynomial over the divisors of its constant term within the Gershgorin
-    row-sum bound; everything left is returned as the residual polynomial.
+    First route, any size: `linalg.integral_spectrum` proves an integral
+    spectrum by annihilation.  The rounded float eigenvalues form the
+    candidate set S, prod_{lam in S} (A - lam I) must be 0 modulo primes
+    whose product exceeds twice the entry bound prod (rho + |lam|), rho the
+    Gershgorin bound, and the multiplicities solve
+    sum m_lam lam^j = tr(A^j) mod p, j < |S|.  The residual is then (1,).
+
+    When that finds no certificate (a float eigenvalue off an integer, or
+    a nonzero residue), the fallback route computes the characteristic
+    polynomial (n <= 512, DimensionMismatch past it) and finds the integer
+    eigenvalues by trial division over the divisors of its constant term
+    within the Gershgorin row-sum bound; everything left is returned as the
+    residual polynomial.
     """
-    a = linalg._require_symmetric(a)
+    roots = linalg.integral_spectrum(a)  # raises ValueError unless symmetric
+    if roots is not None:
+        return Spectrum(tuple(roots), (1,))
     poly = linalg.char_poly(a)
     bound = linalg.gershgorin_bound(a)
     roots, residual = linalg.integer_roots(poly, max_abs_root=bound)

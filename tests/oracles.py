@@ -6,15 +6,30 @@ characteristic-polynomial evaluations, `rank_mod_dense` is the whole-row
 modular elimination the sparse `linalg._rank_mod` is checked against, and
 `substitute_template` builds the blow-up symbol by symbol as the reference
 for `blown_adjacency`.
-`spectrum_charpoly`, `poly_eval` and `trace` read a spectrum back as the
-quantities `char_poly` and the float oracle are checked against.
+`spectrum_charpoly`, `poly_eval`, `trace` and `eigenvalue_sum` read a
+spectrum back as the quantities `char_poly` and the float oracle are
+checked against; `int_matrix` builds the tests' object-int matrices.
 """
+
+import operator
 
 import numpy as np
 
 from sudoku_spectra.blowup import substitution_set
 from sudoku_spectra.graph import template
-from sudoku_spectra.linalg import _require_square, poly_mul, zeros_matrix
+from sudoku_spectra.linalg import DimensionMismatch, _require_square, poly_mul, zeros_matrix
+
+
+def int_matrix(rows) -> np.ndarray:
+    """Validate and convert nested iterables to a square object-int matrix."""
+    data = [[operator.index(x) for x in row] for row in rows]
+    n = len(data)
+    if any(len(row) != n for row in data):
+        raise DimensionMismatch("square matrix required")
+    arr = np.empty((n, n), dtype=object)
+    for i, row in enumerate(data):
+        arr[i, :] = row
+    return arr
 
 
 def charpoly_berkowitz(a) -> tuple[int, ...]:
@@ -119,3 +134,12 @@ def poly_eval(p, x: int) -> int:
 
 def trace(a) -> int:
     return int(sum(a[i, i] for i in range(a.shape[0])))
+
+
+def eigenvalue_sum(s) -> int:
+    """Sum of all eigenvalues (trace) of a `Spectrum`; residual roots enter
+    via the coefficient of its second-highest term."""
+    total = sum(lam * mult for lam, mult in s.integer_part)
+    if s.residual_degree > 0:
+        total -= s.residual[-2]
+    return total

@@ -22,7 +22,7 @@ from sudoku_spectra.spectra import exact_spectrum, is_integral, multipartite_spe
 from sudoku_spectra.tiling import classical_tiling, random_tiling, row_tiling
 
 from golden import BLOWUP3_H, BLOWUP3_V, FREEFORM4_ADJACENCY, FREEFORM4_TEMPLATE
-from oracles import trace
+from oracles import int_matrix, trace
 from test_integrality import layer_regcommute, layers_commute
 from test_spectra import complete_multipartite
 
@@ -172,7 +172,7 @@ def test_criterion_11_oracle_self_consistency():
         n = int(rng.integers(2, 31))
         s = rng.integers(0, 2, size=(n, n))
         s = np.triu(s, 1)
-        a = la.int_matrix((s + s.T).tolist())
+        a = int_matrix((s + s.T).tolist())
         floats = la.float_eigen(a)
         spectrum = exact_spectrum(a)
         exact = [float(lam) for lam, mult in spectrum.integer_part for _ in range(mult)]

@@ -309,12 +309,48 @@ def test_search_blowup_k1_reuses_spectrum(m, seed, monkeypatch):
 
 
 def test_spectrum_past_char_poly_limit_exits_3(tmp_path, capsys):
+    # a non-integral spectrum has no annihilation certificate, so past 512
+    # vertices it still needs char_poly
+    import numpy as np
+
+    from sudoku_spectra.graph import adjacency
+    from sudoku_spectra.tiling import random_tiling
+
+    t = random_tiling(23, 0)  # 529 vertices
+    w = np.linalg.eigvalsh(adjacency(t).astype(float))
+    assert np.abs(w - np.round(w)).max() > 0.1
+    path = tmp_path / "random23.tiling"
+    path.write_text(render_tiling(t))
+    assert main(["spectrum", str(path), "--exact"]) == 3
+    assert "char_poly supports n <= 512" in capsys.readouterr().err
+
+
+def test_spectrum_rook_graph_past_char_poly_limit(tmp_path, capsys):
+    # row_tiling(23) is the rook graph K23 x K23: integral, 529 vertices
     from sudoku_spectra.tiling import row_tiling
 
     path = tmp_path / "r23.tiling"
-    path.write_text(render_tiling(row_tiling(23)))  # 529 vertices
-    assert main(["spectrum", str(path), "--exact"]) == 3
-    assert "char_poly supports n <= 512" in capsys.readouterr().err
+    path.write_text(render_tiling(row_tiling(23)))
+    assert main(["spectrum", str(path), "--exact", "--json"]) == 0
+    exact = json.loads(capsys.readouterr().out)["exact"]
+    assert exact["integer_part"] == [[-2, 484], [21, 44], [44, 1]]
+    assert exact["integral"] is True and exact["residual_coeffs"] == ["1"]
+
+
+def test_spectrum_classical5_past_char_poly_limit(tmp_path, capsys):
+    import numpy as np
+
+    from sudoku_spectra.graph import adjacency
+
+    t = classical_tiling(5)  # 625 vertices
+    path = tmp_path / "c5.tiling"
+    path.write_text(render_tiling(t))
+    assert main(["spectrum", str(path), "--exact", "--json"]) == 0
+    exact = json.loads(capsys.readouterr().out)["exact"]
+    w = np.round(np.linalg.eigvalsh(adjacency(t).astype(float))).astype(int)
+    values, counts = np.unique(w, return_counts=True)
+    assert exact["integer_part"] == [[int(v), int(c)] for v, c in zip(values, counts)]
+    assert exact["integral"] is True
 
 
 def test_compute_error_exits_3(classical2_file, monkeypatch, capsys):

@@ -22,6 +22,7 @@ from sudoku_spectra.spectra import exact_spectrum
 from sudoku_spectra.tiling import classical_tiling, random_tiling, row_tiling
 
 from conftest import tilings
+from oracles import int_matrix
 
 
 def test_kj_basis():
@@ -71,6 +72,47 @@ def test_eigenvector_basis_approximate_part(freeform4):
     for s in approx:
         v = np.asarray(s.vectors[0], dtype=float)
         assert np.linalg.norm(a_f @ v - s.value * v) < 1e-8 * np.linalg.norm(a_f)
+
+
+def _zero_plus_pendants(*cs):
+    """[0] (+) [[0, 1], [1, c]] (+) ...: eigenvalue 0 once, and each block
+    adds the non-integer eigenvalues (c +- sqrt(c**2 + 4)) / 2, one of them
+    about -1/c."""
+    n = 1 + 2 * len(cs)
+    rows = [[0] * n for _ in range(n)]
+    for i, c in enumerate(cs):
+        j = 1 + 2 * i
+        rows[j][j + 1] = rows[j + 1][j] = 1
+        rows[j + 1][j + 1] = c
+    return int_matrix(rows)
+
+
+@pytest.mark.parametrize("c", [2 * 10**6, 666_667])
+def test_eigenvector_basis_refuses_ambiguous_pairing(c):
+    # -1/c = -5e-7 is within the 1e-6 pairing tolerance of the integer
+    # eigenvalue 0, so the float sweep cannot tell which of the two floats
+    # near 0 is the integer one.  -1/c = -1.5e-6 is outside it, but a float
+    # error below the tolerance could bring it in, so the guard covers twice
+    # the tolerance
+    a = _zero_plus_pendants(c)
+    s = exact_spectrum(a)
+    assert s.integer_part == ((0, 1),) and s.residual_degree == 2
+    with pytest.raises(la.ConvergenceError, match="eigenvalue 0"):
+        eigenvector_basis(a)
+
+
+def test_eigenvector_basis_pairs_roots_outside_the_guard(monkeypatch):
+    # -1/c near -3.3e-6 and -3.1e-6: outside twice the tolerance, though
+    # close enough that the Sturm count, not the Taylor bound, decides
+    calls = []
+    real = la._sturm_chain
+    monkeypatch.setattr(la, "_sturm_chain", lambda p: calls.append(p) or real(p))
+    spaces = eigenvector_basis(_zero_plus_pendants(300_000, 320_000))
+    assert len(calls) == 1
+    exact = [sp for sp in spaces if sp.exact]
+    assert [(sp.value, [v.tolist() for v in sp.vectors]) for sp in exact] == [(0, [[1, 0, 0, 0, 0]])]
+    approx = sorted(sp.value for sp in spaces if not sp.exact)
+    assert np.allclose(approx, [-1 / 300_000, -1 / 320_000, 300_000, 320_000], rtol=1e-6)
 
 
 def test_family_sizes_m2():

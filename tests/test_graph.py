@@ -2,12 +2,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sudoku_spectra import linalg as la
 from sudoku_spectra.graph import adjacency, block_row_profile, layers, template
 from sudoku_spectra.tiling import Tiling, blow_up_tiling, classical_tiling, row_tiling
 
 from conftest import tilings
 from golden import FREEFORM4_ADJACENCY, FREEFORM4_TEMPLATE
+from oracles import int_matrix
 
 
 def equal_cliques(l_b, size: int) -> bool:
@@ -184,7 +184,7 @@ def test_degree_formula(t):
 def test_template_consistent_with_adjacency(t):
     tm = template(t)
     value = {"B": 1, "H": 1, "V": 1, "D": 0, "N": 0}
-    rebuilt = la.int_matrix([[value[s] for s in row] for row in tm])
+    rebuilt = int_matrix([[value[s] for s in row] for row in tm])
     assert np.array_equal(rebuilt, adjacency(t))
 
 

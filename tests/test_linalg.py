@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bareiss_det, charpoly_berkowitz, poly_eval, rank_mod_dense, trace
+from oracles import (
+    bareiss_det,
+    charpoly_berkowitz,
+    int_matrix,
+    poly_eval,
+    rank_mod_dense,
+    trace,
+)
 from sudoku_spectra import linalg as la
 
 
@@ -25,7 +32,7 @@ def kron_quadruples(draw):
     n_a = draw(st.integers(1, 4))
     n_b = draw(st.integers(1, 4))
     return tuple(
-        la.int_matrix(draw(square_rows(n)))
+        int_matrix(draw(square_rows(n)))
         for n in (n_a, n_b, n_a, n_b)
     )
 
@@ -33,7 +40,7 @@ def kron_quadruples(draw):
 def sym01(n, rng):
     s = rng.integers(0, 2, size=(n, n))
     s = np.triu(s, 1)
-    return la.int_matrix((s + s.T).tolist())
+    return int_matrix((s + s.T).tolist())
 
 
 def test_constructors():
@@ -41,13 +48,13 @@ def test_constructors():
     assert la.all_ones(3).tolist() == [1, 1, 1]
     assert la.unit_vector(3, 1).tolist() == [0, 1, 0]
     with pytest.raises(la.DimensionMismatch):
-        la.int_matrix([[1, 2], [3]])
+        int_matrix([[1, 2], [3]])
     with pytest.raises(TypeError):
-        la.int_matrix([[1.5]])
+        int_matrix([[1.5]])
 
 
 def test_kron_identity():
-    b = la.int_matrix([[1, 2], [3, 4]])
+    b = int_matrix([[1, 2], [3, 4]])
     assert np.array_equal(la.kron(la.identity(1), b), b)
 
 
@@ -75,14 +82,14 @@ def test_charpoly_known():
 @given(small_matrices)
 @settings(max_examples=60, deadline=None)
 def test_charpoly_matches_berkowitz(rows):
-    a = la.int_matrix(rows)
+    a = int_matrix(rows)
     assert la.char_poly(a) == charpoly_berkowitz(a)
 
 
 @given(small_matrices, st.integers(-4, 4))
 @settings(max_examples=40, deadline=None)
 def test_charpoly_eval_is_det(rows, lam):
-    a = la.int_matrix(rows)
+    a = int_matrix(rows)
     n = a.shape[0]
     value = poly_eval(la.char_poly(a), lam)
     assert value == bareiss_det(lam * la.identity(n) - a)
@@ -116,8 +123,8 @@ def prime_multiple_matrices(draw):
     p = la._primes(1)[0]
     n = draw(st.integers(2, 8))
     entries = st.builds(lambda c, u: c + u * p, st.integers(-1, 1), st.integers(-2, 2))
-    return la.int_matrix(draw(st.lists(st.lists(entries, min_size=n, max_size=n),
-                                       min_size=n, max_size=n)))
+    return int_matrix(draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                    min_size=n, max_size=n)))
 
 
 @given(prime_multiple_matrices())
@@ -141,7 +148,7 @@ def test_coeff_bound_scaled_identity(n):
 @settings(max_examples=60, deadline=None)
 def test_coeff_bound_covers_coefficients(rows):
     # non-symmetric input: the Schur inequality still bounds the eigenvalues
-    a = la.int_matrix(rows)
+    a = int_matrix(rows)
     assert la._coeff_bound(a) >= max(abs(c) for c in charpoly_berkowitz(a))
 
 
@@ -156,7 +163,7 @@ def test_coeff_bound_classical4_bits():
 
 def test_charpoly_big_entries():
     big = 10**25
-    a = la.int_matrix([[big, 1], [1, -big]])
+    a = int_matrix([[big, 1], [1, -big]])
     assert la.char_poly(a) == (-(big * big) - 1, 0, 1)
 
 
@@ -195,6 +202,98 @@ def test_integer_roots_reconstruction(roots_in):
     assert sorted(r for r, _ in roots) == sorted(set(roots_in))
 
 
+# ---------------------------------------------------------------------------
+# roots near a point: Taylor exclusion, then Sturm
+
+
+def _poly_from_rational_roots(roots, extra=(1,)):
+    """Ascending coefficients of prod (b x - a) * extra over (a, b) roots."""
+    poly = tuple(extra)
+    for a, b in roots:
+        poly = la.poly_mul(poly, (-a, b))
+    return poly
+
+
+@given(
+    st.lists(st.tuples(st.integers(-30, 30), st.sampled_from([1, 2, 3, 999_999, 10**6, 10**6 + 1])),
+             min_size=1, max_size=4),
+    st.sampled_from([(1,), (1, 0, 1), (2, 0, 1)]),  # no real roots
+    st.integers(-3, 3),
+    st.sampled_from([1, 3, 500_000, 10**6]),
+)
+@settings(max_examples=150, deadline=None)
+def test_has_root_near_matches_exact_roots(roots, extra, center, den):
+    poly = _poly_from_rational_roots(roots, extra)
+    expected = any(abs(Fraction(a, b) - center) <= Fraction(1, den) for a, b in roots)
+    assert la.has_root_near(poly, center, den) == expected
+
+
+@pytest.mark.parametrize("roots, expected", [
+    # roots 1/(2 * 10**6) and 1/10**6 + 1/10**12, inside and just outside
+    ([(1, 2 * 10**6), (10**6 + 1, 10**12)], True),
+    # roots 1.5e-6 and 1.6e-6, both outside
+    ([(3, 2 * 10**6), (16, 10**7)], False),
+    # a double root just inside, and one just outside
+    ([(-999_999, 10**12), (-999_999, 10**12)], True),
+    ([(-1_000_001, 10**12), (-1_000_001, 10**12)], False),
+])
+def test_has_root_near_sturm_decides(roots, expected, monkeypatch):
+    # roots this close to [-1e-6, 1e-6] defeat the Taylor bound, so each
+    # case is decided by the Sturm count
+    calls = []
+    real = la._sturm_chain
+    monkeypatch.setattr(la, "_sturm_chain", lambda p: calls.append(p) or real(p))
+    assert la.has_root_near(_poly_from_rational_roots(roots), 0, 10**6) == expected
+    assert len(calls) == 1
+
+
+def test_has_root_near_edge_cases():
+    assert la.has_root_near((5,), 0, 1) is False
+    assert la.has_root_near((0,), 0, 1) is True
+    assert la.has_root_near((0, 0, 1), 0, 10**6) is True  # root at the center
+    assert la.has_root_near((-1, 10**6), 0, 10**6) is True  # at an endpoint
+    with pytest.raises(ValueError):
+        la.has_root_near((1, 1), 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the annihilation certificate's primes
+
+
+def _is_prime_trial(p: int) -> bool:
+    return p > 1 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+
+@pytest.mark.parametrize("n, rho, values", [
+    (1, 0, [0]),
+    (16, 7, [-3, -1, 1, 3, 7]),
+    (256, 39, [-5, -1, 7, 11, 23, 39]),
+    (625, 64, [-6, -1, 14, 19, 39, 64]),
+    (729, 44, [-9, -3, -1, 2, 8, 17, 26, 44]),
+    (2, 10**7 + 1, [0, 10**7]),
+])
+def test_certificate_primes(n, rho, values):
+    primes = la._certificate_primes(n, rho, values)
+    bound = 2
+    for lam in values:
+        bound *= rho + abs(lam)
+    assert len(set(primes)) == len(primes) >= 1
+    for p in primes:
+        assert _is_prime_trial(p)
+        assert n * (p - 1) ** 2 < 2**53  # float64 dot products stay exact
+        assert p > max(n, 2 * rho)
+    product = 1
+    for p in primes:
+        product *= p
+    assert product > bound  # a product entry that vanishes mod all is 0
+    assert len(primes) == 1 or product // primes[-1] <= bound  # none beyond need
+
+
+def test_certificate_primes_run_out():
+    # every p with 4 (p - 1)**2 < 2**53 is below 2 * rho
+    assert la._certificate_primes(4, 2**26, [0]) is None
+
+
 def test_rational_kernel_examples():
     j2 = la.ones_matrix(2)
     assert [v.tolist() for v in la.rational_kernel(j2, 0)] == [[1, -1]]
@@ -204,7 +303,7 @@ def test_rational_kernel_examples():
 
 
 def test_rational_kernel_scaled_matrix():
-    a = la.int_matrix([[2, 2], [2, 2]])
+    a = int_matrix([[2, 2], [2, 2]])
     assert [v.tolist() for v in la.rational_kernel(a, 4)] == [[1, 1]]
     assert [v.tolist() for v in la.rational_kernel(a, 0)] == [[1, -1]]
 
@@ -212,13 +311,13 @@ def test_rational_kernel_scaled_matrix():
 def test_rational_kernel_clears_denominators():
     # the pivot 2 does not divide the back-substituted sum, so the partial
     # vector is scaled up before solving; the result is primitive
-    a = la.int_matrix([[0, 2], [2, 3]])  # eigenvalues 4 and -1
+    a = int_matrix([[0, 2], [2, 3]])  # eigenvalues 4 and -1
     assert [v.tolist() for v in la.rational_kernel(a, 4)] == [[1, 2]]
     assert [v.tolist() for v in la.rational_kernel(a, -1)] == [[2, -1]]
 
 
 def test_rational_kernel_two_dimensional():
-    b = la.int_matrix([[2, 3, 0], [3, 2, 0], [0, 0, 5]])
+    b = int_matrix([[2, 3, 0], [3, 2, 0], [0, 0, 5]])
     assert [v.tolist() for v in la.rational_kernel(b, 5)] == [[1, 1, 0], [0, 0, 1]]
     assert [v.tolist() for v in la.rational_kernel(b, -1)] == [[1, -1, 0]]
 
@@ -252,7 +351,7 @@ def test_rational_kernel_vectors_are_primitive(case):
 @given(small_matrices, st.integers(-3, 3))
 @settings(max_examples=40, deadline=None)
 def test_rational_kernel_is_kernel(rows, lam):
-    a = la.int_matrix(rows)
+    a = int_matrix(rows)
     a = a + a.T  # symmetric
     n = a.shape[0]
     vecs = la.rational_kernel(a, lam)
@@ -266,7 +365,7 @@ def test_rational_kernel_is_kernel(rows, lam):
 def test_rank():
     assert la.rank(la.ones_matrix(3)) == 1
     assert la.rank(la.identity(4)) == 4
-    assert la.rank(la.int_matrix([[1, 2], [2, 4]])) == 1
+    assert la.rank(int_matrix([[1, 2], [2, 4]])) == 1
 
 
 def _draw_matrix(draw, n_rows, n_cols, elements):
@@ -306,7 +405,7 @@ def test_rank_matches_bareiss(a):
 def test_rank_mod_below_rational_rank():
     # diag(1, p) has rank 2 over the rationals and rank 1 mod p
     p = la._primes(1)[0]
-    a = la.int_matrix([[1, 0], [0, p]])
+    a = int_matrix([[1, 0], [0, p]])
     assert la._rank_mod(a, p) == rank_mod_dense(a, p) == 1
     assert la.rank(a) == 2
 
@@ -314,14 +413,14 @@ def test_rank_mod_below_rational_rank():
 @pytest.mark.parametrize("entry", [Fraction(1, 2), 0.5], ids=["Fraction", "float"])
 def test_exact_routines_reject_non_int_entries(entry):
     # reducing mod p would truncate such an entry to an int without error
-    arr = la.int_matrix([[1, 1], [3, 2]])
+    arr = int_matrix([[1, 1], [3, 2]])
     arr[0, 0] = entry
     with pytest.raises(TypeError):
         la.rank(arr)
     with pytest.raises(TypeError):
         la.rational_kernel(arr, 0)
     with pytest.raises(TypeError):
-        la.rational_kernel(la.int_matrix([[1, 1], [3, 2]]), entry)
+        la.rational_kernel(int_matrix([[1, 1], [3, 2]]), entry)
 
 
 def test_float_eigen_known():
@@ -331,7 +430,7 @@ def test_float_eigen_known():
 
 def test_float_eigen_requires_symmetric():
     with pytest.raises(ValueError):
-        la.float_eigen(la.int_matrix([[0, 1], [0, 0]]))
+        la.float_eigen(int_matrix([[0, 1], [0, 0]]))
 
 
 def test_float_eigen_matches_exact_roots():
@@ -365,13 +464,13 @@ def test_float_eigen_rounding_reproduces_integer_spectrum():
 
 def test_float_eigen_convergence_error():
     # an impossible residual target must be reported, not silently ignored
-    p3 = la.int_matrix([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    p3 = int_matrix([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
     with pytest.raises(la.ConvergenceError):
         la.float_eigen(p3, tol=0.0)
 
 
 def test_trace_and_gershgorin():
-    a = la.int_matrix([[1, -2], [-2, 5]])
+    a = int_matrix([[1, -2], [-2, 5]])
     assert trace(a) == 6
     assert la.gershgorin_bound(a) == 7
 

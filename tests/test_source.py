@@ -6,12 +6,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE_DIR = ROOT / "src" / "sudoku_spectra"
+SCRIPTS_DIR = ROOT / "scripts"
 # private, but timed by the benchmark: the float eigenpair routine
 PRIVATE_LAYERS = {"linalg._float_eigen_pairs"}
 
 
-def parsed_sources():
-    sources = sorted(SOURCE_DIR.glob("*.py"))
+def parsed_sources(*dirs):
+    sources = [path for d in dirs or (SOURCE_DIR,) for path in sorted(d.glob("*.py"))]
     assert sources
     return [
         (path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
@@ -20,11 +21,11 @@ def parsed_sources():
 
 
 def test_no_assert_statements():
-    # `python -O` strips assert statements, so no check in the library may
-    # rely on one
+    # `python -O` strips assert statements, so no check in the library or
+    # the user-facing scripts may rely on one
     found = [
-        f"{path.name}:{node.lineno}"
-        for path, tree in parsed_sources()
+        f"{path.parent.name}/{path.name}:{node.lineno}"
+        for path, tree in parsed_sources(SOURCE_DIR, SCRIPTS_DIR)
         for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
