@@ -9,6 +9,13 @@ on any other entry.  Floating point enters through the eigenvalue oracle
 `integral_spectrum`, whose float eigenvalues only propose the candidates
 that its exact annihilation certificate then proves or rejects.
 
+`rational_kernel` is multimodular: Gauss-Jordan elimination mod 27-bit
+primes in int64, CRT and rational reconstruction after each prime, and a
+lift returned only once (a - lam I) X == 0 holds exactly.  The exact check
+proves the lift is the rational free-column basis, primes whose pivot set
+lags are skipped as unlucky, and a Hadamard bound caps the primes: past
+it the lift cannot fail, so reaching it raises CertificateError.
+
 Polynomials are tuples of Python ints, coefficients in ascending degree
 order.
 """
@@ -164,6 +171,15 @@ def _primes(count: int) -> list[int]:
     return _primes_cache[:count]
 
 
+def _for_residues(a: np.ndarray) -> np.ndarray:
+    """a in int64 when its entries fit, so each prime reduces it with one
+    vectorized %; otherwise a itself, reduced on the object array."""
+    try:
+        return a.astype(np.int64)
+    except OverflowError:
+        return a
+
+
 def _coeff_bound(a) -> int:
     """Bound on |coefficients| of char_poly(a): max_j C(n,j) * r^j, r^2*n >= ||a||_F^2.
 
@@ -239,11 +255,7 @@ def char_poly(a) -> tuple[int, ...]:
         # 27-bit primes guarantee int64-safe dot products only up to n=512
         raise DimensionMismatch(f"char_poly supports n <= 512, got {n}")
     target = 2 * _coeff_bound(a) + 1
-    try:
-        # int64 once, so each prime reduces with one vectorized %
-        a_int = a.astype(np.int64)
-    except OverflowError:
-        a_int = a  # entries past 63 bits are reduced on the object array
+    a_int = _for_residues(a)
     coeffs = [0] * (n + 1)
     modulus = 1
     i = 0
@@ -292,9 +304,10 @@ def integer_roots(
 ) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
     """All integer roots of a monic polynomial, with multiplicities.
 
-    Candidates are the integers in [-max_abs_root, max_abs_root] dividing
-    the constant term; for eigenvalue work callers pass the Gershgorin
-    row-sum bound of the matrix.  Without a bound the Cauchy bound
+    Candidates are the nonzero integers of size at most min(max_abs_root,
+    |c_0|) dividing the constant term c_0, the cap recomputed after each
+    deflation; for eigenvalue work callers pass the Gershgorin row-sum
+    bound of the matrix.  Without a bound the Cauchy bound
     1 + max|c_i| is used, which is refused when impractically large.
     Returns (sorted (root, multiplicity) list, residual polynomial); the
     residual has no integer roots and
@@ -314,20 +327,25 @@ def integer_roots(
             raise ValueError("coefficients too large; pass max_abs_root")
     else:
         bound = max_abs_root
-    for r in range(-bound, bound + 1):
-        if r == 0 or len(coeffs) == 1:
-            continue
-        if coeffs[0] % r:
-            continue
-        mult = 0
-        while len(coeffs) > 1:
-            q, rem = _deflate(coeffs, r)
-            if rem != 0:
-                break
-            coeffs = q
-            mult += 1
-        if mult:
-            roots.append((r, mult))
+    # a nonzero integer root divides the constant term, which deflation by
+    # nonzero roots keeps nonzero, so |c_0| caps the candidates as well
+    r = -bound
+    while len(coeffs) > 1:
+        cap = min(bound, abs(coeffs[0]))
+        r = max(r, -cap)
+        if r > cap:
+            break
+        if r and coeffs[0] % r == 0:
+            mult = 0
+            while len(coeffs) > 1:
+                q, rem = _deflate(coeffs, r)
+                if rem != 0:
+                    break
+                coeffs = q
+                mult += 1
+            if mult:
+                roots.append((r, mult))
+        r += 1
     return sorted(roots), tuple(coeffs)
 
 
@@ -571,12 +589,33 @@ def integral_spectrum(a) -> list[tuple[int, int]] | None:
 # ---------------------------------------------------------------------------
 # exact kernels and rank
 #
-# Kernels come from fraction-free (Bareiss) elimination over the integers.
-# `rank` first eliminates mod one 27-bit prime in int64, as the Hessenberg
-# step does: the pivot swap and the row update touch columns c.. only, and
-# only rows whose multiplier is nonzero mod p, so a sparse matrix such as a
-# stacked eigenvector family costs little more than its nonzeros.  Bareiss
-# decides only when that rank falls short of full.
+# Both eliminate mod 27-bit primes in int64, as the Hessenberg step does:
+# the pivot swap and the row update touch columns c.. only, and only rows
+# whose multiplier is nonzero mod p, so a sparse matrix such as a stacked
+# eigenvector family costs little more than its nonzeros.
+#
+# `rank` eliminates mod one prime; fraction-free (Bareiss) elimination over
+# the integers decides only when that rank falls short of full.
+#
+# `rational_kernel` runs Gauss-Jordan mod p and reads the free-column basis
+# (1 at its free column, 0 at the others) off the reduced form.  After each
+# prime the basis mod the product of the primes is lifted by CRT and
+# rational reconstruction (Wang's algorithm; multimodular with early
+# termination, cf. Monagan, ISSAC 2004) and returned once (a - lam I) X == 0
+# holds exactly: a float64 product under the 2**53 bound, an object product
+# past it.
+#
+# A verified lift is the rational answer.  Vectors independent mod p are
+# independent over Q, so the lift spans the kernel; each vector puts its
+# free column in the Q-span of the pivot columns before it, so the mod-p
+# pivot set is the greedy rational one, and the lift is the unique kernel
+# basis with that pattern on the free columns.  A prime whose (rank, pivot
+# list) lags the best seen cannot give that basis and is skipped.
+#
+# The cap: every minor is at most H = prod_i max(1, ||row_i||) (Hadamard),
+# the skipped primes all divide one nonzero minor (product at most H), and
+# by Cramer's rule the entries' numerators and denominators are at most H,
+# so reconstruction is exact once the other primes multiply past 2 H^2.
 
 
 def _bareiss_echelon(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -651,16 +690,158 @@ def rank(a) -> int:
     return len(pivots)
 
 
+def _rref_mod(h: np.ndarray, p: int) -> list[int]:
+    """Reduce h (int64 residues in [0, p)) in place to reduced row echelon
+    form mod p by Gauss-Jordan elimination; returns the pivot columns.
+
+    Rows r.. are zero left of column c and the rows above are zero in the
+    earlier pivot columns, so the swap, the scaling and the update touch
+    columns c.. only, and the update only rows nonzero in column c.
+    """
+    n_rows, n_cols = h.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(n_cols):
+        # columns are 1-d, so nonzero() skips flatnonzero's ravel
+        nz = h[r:, c].nonzero()[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            h[[r, piv], c:] = h[[piv, r], c:]
+        h[r, c:] = h[r, c:] * pow(int(h[r, c]), -1, p) % p
+        live = h[:, c].nonzero()[0]
+        live = live[live != r]
+        if live.size:
+            h[live, c:] = (h[live, c:] - h[live, c, None] * h[r, c:]) % p
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return pivots
+
+
+def _kernel_prime_budget(mat: np.ndarray) -> int:
+    """Primes after which the kernel lift of mat cannot fail.
+
+    Every minor of mat is at most H = sqrt(prod_i max(1, ||row_i||^2)) in
+    size (Hadamard).  The primes whose pivot set is not the rational one
+    all divide one nonzero minor, so their product is at most H; the others
+    reconstruct every entry once their product exceeds 2 H^2.  Each table
+    prime exceeds 2**26, so this many primes multiply past h (2 h^2 + 1)
+    with h > H.
+    """
+    h2 = 1
+    for row_sq in (mat * mat).sum(axis=1):
+        h2 *= max(1, int(row_sq))
+    h = isqrt(h2) + 1
+    return -(-(h * (2 * h * h + 1)).bit_length() // 26)
+
+
+def _reconstruct(u: int, modulus: int, bound: int) -> tuple[int, int] | None:
+    """(num, den) with num == u * den mod modulus, |num| <= bound and
+    0 < den <= bound, or None.  The fraction is unique when
+    2 bound^2 < modulus (Wang's rational reconstruction, by the half
+    extended Euclidean algorithm)."""
+    r0, r1, t0, t1 = modulus, u % modulus, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if not t1 or abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _lift_vector(residues: list[int], modulus: int, bound: int) -> tuple[list[int], int] | None:
+    """(d * x_i for each i, d) for the rationals x_i == residues[i] mod
+    modulus whose numerators and denominators are at most bound, d their
+    common denominator; None when some entry does not reconstruct.
+
+    d grows as the entries are read: u * d, reduced to (-modulus/2,
+    modulus/2], is already the answer when it is at most bound in size
+    (it is then the unique fraction with denominator 1), so only the other
+    entries run the Euclidean algorithm.
+    """
+    half = modulus // 2
+    d = 1
+    for u in residues:
+        v = u * d % modulus
+        if min(v, modulus - v) > bound:
+            frac = _reconstruct(v, modulus, bound)
+            if frac is None:
+                return None
+            d *= frac[1]
+    nums = []
+    for u in residues:
+        v = u * d % modulus
+        v = v - modulus if v > half else v
+        if abs(v) > bound:
+            return None
+        nums.append(v)
+    return nums, d
+
+
+def _lift_basis(acc, modulus: int, pivots: list[int], free: list[int], n: int):
+    """Primitive, sign-normalized integer vectors from the free-column
+    basis mod modulus (acc[i, j] is entry pivots[i] of the vector of column
+    free[j]), or None when some entry does not reconstruct."""
+    bound = isqrt((modulus - 1) // 2)
+    basis = []
+    for j, fc in enumerate(free):
+        lifted = _lift_vector(acc[:, j].tolist(), modulus, bound)
+        if lifted is None:
+            return None
+        nums, d = lifted
+        g = d
+        for v in nums:
+            g = gcd(g, v)
+        x = [0] * n
+        for pc, v in zip(pivots, nums):
+            x[pc] = v // g
+        x[fc] = d // g
+        if next(v for v in x if v) < 0:
+            x = [-v for v in x]
+        vec = np.empty(n, dtype=object)
+        vec[:] = x
+        basis.append(vec)
+    return basis
+
+
+def _in_kernel(mat: np.ndarray, basis) -> bool:
+    """True iff mat @ x == 0 for every x in basis, exactly.
+
+    One float64 product when (max_i sum_j |mat_ij|) * max |x| < 2**53, so
+    every product and partial sum is an integer below 2**53 and nothing
+    rounds in any summation order; an object product otherwise.
+    """
+    x = np.array(basis, dtype=object).T
+    if gershgorin_bound(mat) * int(np.abs(x).max()) < _FLOAT64_EXACT:
+        return not np.any(np.asarray(mat, dtype=float) @ np.asarray(x, dtype=float))
+    return not np.any(mat @ x)
+
+
 def rational_kernel(a, lam: int) -> list[np.ndarray]:
     """Exact basis of ker(a - lam*I), as primitive integer vectors.
 
     Entries of a must be Python ints (TypeError otherwise).  Empty iff lam
     is not an eigenvalue.  Basis vectors are indexed by the free columns of
-    the echelon form (ascending) and sign-normalized so the first nonzero
-    entry is positive.  Back-substitution stays in the integers: before
-    solving piv * x[pc] = -s the partial vector is scaled by piv / g, with
-    g = gcd(s, piv), and x[pc] = -s / g.  Since gcd(piv / g, s / g) == 1,
-    the vector stays primitive at every step and needs no final division.
+    the echelon form (ascending): the vector of free column fc is 1 at fc
+    and 0 at the other free columns, then made primitive and
+    sign-normalized so its first nonzero entry is positive.
+
+    Gauss-Jordan elimination of a - lam*I modulo 27-bit primes gives those
+    vectors mod p; CRT and rational reconstruction lift them after each
+    prime, and a lift is returned only when (a - lam*I) X == 0 holds
+    exactly.  A verified lift is the rational basis: independence mod p
+    implies independence over the rationals, so its vectors span the
+    kernel, and each puts its free column in the span of the pivot columns
+    before it, so the mod-p pivot set is the rational one.  A prime whose
+    (rank, pivot list) is worse than the best seen (lower rank, or a
+    lexicographically later list at equal rank) is unlucky and skipped; a
+    better one restarts the lift.  Past `_kernel_prime_budget` primes (a
+    Hadamard bound) the lift cannot fail, so reaching it raises
+    CertificateError.
     """
     a = _require_ints(_require_square(a))
     lam = operator.index(lam)
@@ -668,39 +849,37 @@ def rational_kernel(a, lam: int) -> list[np.ndarray]:
     mat = a.copy()
     for i in range(n):
         mat[i, i] -= lam
-    ech, pivots = _bareiss_echelon(mat)
-    rows = ech[: len(pivots)].tolist()
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(n):
-        if fc in pivot_set:
+    mat_int = _for_residues(mat)
+    best = None
+    i, budget = 0, None
+    while budget is None or i < budget:
+        p = _primes(i + 1)[i]
+        i += 1
+        h = (mat_int % p).astype(np.int64, copy=False)
+        pivots = _rref_mod(h, p)
+        key = (-len(pivots), pivots)
+        if best is not None and key > best:
             continue
-        x = [0] * n
-        x[fc] = 1
-        for ri in range(len(pivots) - 1, -1, -1):
-            pc = pivots[ri]
-            if pc > fc:
-                continue
-            row = rows[ri]
-            # x is zero beyond fc
-            s = 0
-            for j in range(pc + 1, fc + 1):
-                if x[j] and row[j]:
-                    s += row[j] * x[j]
-            if not s:
-                continue
-            piv = row[pc]
-            g = gcd(s, piv)
-            scale = piv // g
-            if scale != 1:
-                x = [v * scale for v in x]
-            x[pc] = -s // g
-        if next(v for v in x if v) < 0:
-            x = [-v for v in x]
-        vec = np.empty(n, dtype=object)
-        vec[:] = x
-        basis.append(vec)
-    return basis
+        pivot_set = set(pivots)
+        free = [c for c in range(n) if c not in pivot_set]
+        if not free:
+            return []  # full rank mod p, hence over the rationals
+        # the vector of free column fc holds -h[row of pc, fc] at pivot pc
+        residues = (-h[: len(pivots), free] % p).astype(object)
+        if best is None or key < best:
+            best, acc, modulus = key, residues, p
+        else:
+            inv = pow(modulus % p, -1, p)
+            acc = acc + modulus * ((residues - acc % p) * inv % p)
+            modulus *= p
+        basis = _lift_basis(acc, modulus, pivots, free, n)
+        if basis is not None and _in_kernel(mat, basis):
+            return basis
+        if budget is None:
+            budget = _kernel_prime_budget(mat)
+    raise CertificateError(
+        f"kernel of a - {lam} I (n = {n}) did not lift after {budget} primes"
+    )
 
 
 # ---------------------------------------------------------------------------

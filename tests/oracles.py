@@ -2,8 +2,10 @@
 
 None is used by the library: `charpoly_berkowitz` cross-checks the
 multi-modular `char_poly`, `bareiss_det` gives det(lam*I - A) for checking
-characteristic-polynomial evaluations, `rank_mod_dense` is the whole-row
-modular elimination the sparse `linalg._rank_mod` is checked against, and
+characteristic-polynomial evaluations, `kernel_bareiss` is the
+fraction-free kernel the modular `linalg.rational_kernel` must reproduce
+byte for byte, `rank_mod_dense` is the whole-row modular elimination the
+sparse `linalg._rank_mod` is checked against, and
 `substitute_template` builds the blow-up symbol by symbol as the reference
 for `blown_adjacency`.
 `spectrum_charpoly`, `poly_eval`, `trace` and `eigenvalue_sum` read a
@@ -12,12 +14,20 @@ checked against; `int_matrix` builds the tests' object-int matrices.
 """
 
 import operator
+from math import gcd
 
 import numpy as np
 
 from sudoku_spectra.blowup import substitution_set
 from sudoku_spectra.graph import template
-from sudoku_spectra.linalg import DimensionMismatch, _require_square, poly_mul, zeros_matrix
+from sudoku_spectra.linalg import (
+    DimensionMismatch,
+    _bareiss_echelon,
+    _require_ints,
+    _require_square,
+    poly_mul,
+    zeros_matrix,
+)
 
 
 def int_matrix(rows) -> np.ndarray:
@@ -77,6 +87,56 @@ def bareiss_det(a) -> int:
             mat[c + 1:, c:] = (piv * block - np.outer(mat[c + 1:, c], mat[c, c:])) // denom
         denom = piv
     return sign * int(mat[n - 1, n - 1])
+
+
+def kernel_bareiss(a, lam: int) -> list[np.ndarray]:
+    """Basis of ker(a - lam*I) by fraction-free (Bareiss) elimination and
+    integer back-substitution, one primitive vector per free column
+    (ascending), first nonzero entry positive.
+
+    Before solving piv * x[pc] = -s the partial vector is scaled by
+    piv / g, with g = gcd(s, piv), and x[pc] = -s / g.  Since
+    gcd(piv / g, s / g) == 1, the vector stays primitive at every step.
+    """
+    a = _require_ints(_require_square(a))
+    lam = operator.index(lam)
+    n = a.shape[0]
+    mat = a.copy()
+    for i in range(n):
+        mat[i, i] -= lam
+    ech, pivots = _bareiss_echelon(mat)
+    rows = ech[: len(pivots)].tolist()
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(n):
+        if fc in pivot_set:
+            continue
+        x = [0] * n
+        x[fc] = 1
+        for ri in range(len(pivots) - 1, -1, -1):
+            pc = pivots[ri]
+            if pc > fc:
+                continue
+            row = rows[ri]
+            # x is zero beyond fc
+            s = 0
+            for j in range(pc + 1, fc + 1):
+                if x[j] and row[j]:
+                    s += row[j] * x[j]
+            if not s:
+                continue
+            piv = row[pc]
+            g = gcd(s, piv)
+            scale = piv // g
+            if scale != 1:
+                x = [v * scale for v in x]
+            x[pc] = -s // g
+        if next(v for v in x if v) < 0:
+            x = [-v for v in x]
+        vec = np.empty(n, dtype=object)
+        vec[:] = x
+        basis.append(vec)
+    return basis
 
 
 def rank_mod_dense(mat, p: int) -> int:

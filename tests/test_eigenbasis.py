@@ -416,3 +416,16 @@ def test_first_failure_in_family_order(kind, index, tol, message, monkeypatch):
     with pytest.raises(VerificationFailure) as info:
         _verify_with(monkeypatch, t, 2, bad, residual_tol=tol)
     assert str(info.value).startswith(f"eigenvector-residual: {message}")
+
+
+@pytest.mark.parametrize("t", [classical_tiling(3), random_tiling(9, 1)],
+                         ids=["classical3", "random9-1"])
+def test_build_families_kernels_are_modular(monkeypatch, t):
+    # the seeds' exact eigenvectors come from the modular kernel alone
+    def no_bareiss(mat):
+        raise AssertionError("Bareiss elimination on the production path")
+
+    monkeypatch.setattr(la, "_bareiss_echelon", no_bareiss)
+    families = build_families(t, 3)
+    n = t.n_cells
+    assert tuple(len(f) for f in families) == (2 * n, 2 * n, 4 * n, n)

@@ -1,20 +1,24 @@
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import tilings
 from oracles import (
     bareiss_det,
     charpoly_berkowitz,
     int_matrix,
+    kernel_bareiss,
     poly_eval,
     rank_mod_dense,
     trace,
 )
 from sudoku_spectra import linalg as la
+from sudoku_spectra.graph import layers
+from sudoku_spectra.spectra import exact_spectrum
 
 
 def square_rows(n):
@@ -171,6 +175,45 @@ def test_integer_roots_basic():
     assert la.integer_roots((-1, 0, 1)) == ([(-1, 1), (1, 1)], (1,))
     assert la.integer_roots((0, 0, -3, 1)) == ([(0, 2), (3, 1)], (1,))
     assert la.integer_roots((-2, 0, 1)) == ([], (-2, 0, 1))
+
+
+def _integer_roots_scan(p, bound):
+    """Reference: deflate by every integer in [-bound, bound] in turn."""
+    coeffs, roots = list(p), []
+    for r in range(-bound, bound + 1):
+        mult = 0
+        while len(coeffs) > 1:
+            q = [0] * (len(coeffs) - 1)
+            acc = coeffs[-1]
+            for i in range(len(coeffs) - 2, -1, -1):
+                q[i] = acc
+                acc = coeffs[i] + r * acc
+            if acc:
+                break
+            coeffs, mult = q, mult + 1
+        if mult:
+            roots.append((r, mult))
+    return roots, tuple(coeffs)
+
+
+@given(st.lists(st.integers(-5, 5), max_size=4), st.integers(1, 5), st.integers(0, 4000))
+@example([3, -2, 5, 5], 4, 4000)  # |c_0| = 600 < bound
+@example([5, 5, -4], 2, 30)  # bound < |c_0| = 200, and below no root
+@settings(max_examples=60, deadline=None)
+def test_integer_roots_constant_term_caps_candidates(roots_in, c, bound):
+    # times x^2 + x + c, which has no real roots
+    poly = (c, 1, 1)
+    for r in roots_in:
+        poly = la.poly_mul(poly, (-r, 1))
+    assert la.integer_roots(poly, bound) == _integer_roots_scan(poly, bound)
+
+
+def test_integer_roots_large_bound_small_constant_term():
+    # x^2 - 10**7 x - 1, the characteristic polynomial of [[0, 1], [1, 10**7]]:
+    # its bound is 10**7 + 1 but c_0 = -1 leaves only the candidates +-1
+    poly = la.char_poly(int_matrix([[0, 1], [1, 10**7]]))
+    assert poly == (-1, -10**7, 1)
+    assert la.integer_roots(poly, 10**7 + 1) == ([], poly)
 
 
 def test_integer_roots_requires_monic():
@@ -362,6 +405,154 @@ def test_rational_kernel_is_kernel(rows, lam):
     assert la.rank(shifted) + len(vecs) == n
 
 
+def _same_kernel(a, lam):
+    """rational_kernel(a, lam) equals the Bareiss oracle byte for byte."""
+    got = la.rational_kernel(a, lam)
+    want = kernel_bareiss(a, lam)
+    assert [v.dtype for v in got] == [v.dtype for v in want]
+    assert [v.tolist() for v in got] == [v.tolist() for v in want]
+    assert all(type(x) is int for v in got for x in v)
+    return got
+
+
+@st.composite
+def kernel_cases(draw):
+    """(a, lam) with a square, up to 9 x 9 and not symmetric, a - lam0*I of
+    rank at most r for a drawn lam0, and lam near lam0.  Entries of the
+    factors are sometimes multiples of the first table prime p, and a
+    multiple of p is sometimes added to the product, so the pivot set mod p
+    can fall behind the rational one."""
+    n = draw(st.integers(1, 9))
+    r = draw(st.integers(0, n))
+    p = la._primes(1)[0]
+    entries = st.integers(-3, 3).flatmap(lambda x: st.sampled_from([0, x, x, x * p]))
+    u = _draw_matrix(draw, n, r, entries)
+    w = _draw_matrix(draw, r, n, entries)
+    a = u @ w if r else np.full((n, n), 0, dtype=object)
+    if draw(st.booleans()):
+        a = a + p * _draw_matrix(draw, n, n, st.integers(-1, 1))
+    lam0 = draw(st.integers(-4, 4))
+    return a + lam0 * la.identity(n), lam0 + draw(st.sampled_from([0, 0, 0, 1, -1]))
+
+
+@given(kernel_cases())
+@settings(max_examples=200, deadline=None)
+def test_rational_kernel_matches_bareiss(case):
+    _same_kernel(*case)
+
+
+@given(tilings(min_m=1, max_m=5), st.integers(1, 3))
+@settings(max_examples=25, deadline=None)
+def test_rational_kernel_matches_bareiss_on_seeds(t, k):
+    # the blow-up seeds l_h, l_v and M = k^2 l_b + k l_h + k l_v
+    d = layers(t)
+    for seed in (d.l_h, d.l_v, k * k * d.l_b + k * d.l_h + k * d.l_v):
+        for lam, mult in exact_spectrum(seed).integer_part:
+            assert len(_same_kernel(seed, lam)) == mult
+
+
+@pytest.mark.parametrize("modulus", [211, 7 * 11 * 13])
+def test_reconstruct_exhaustive(modulus):
+    # every residue: the unique a / b in lowest terms with |a|, b <= bound
+    # and a == u b mod modulus, or None when there is none; with factors
+    # of the modulus below the bound, the Euclidean remainder and cofactor
+    # can share one, and that pair is no answer
+    bound = isqrt((modulus - 1) // 2)
+    for u in range(modulus):
+        fracs = set()
+        for b in range(1, bound + 1):
+            a = u * b % modulus
+            a = a - modulus if a > modulus // 2 else a
+            if abs(a) <= bound and gcd(a, b) == 1:
+                fracs.add((a, b))
+        assert len(fracs) <= 1
+        fracs = sorted(fracs)
+        assert la._reconstruct(u, modulus, bound) == (fracs[0] if fracs else None)
+
+
+@given(st.integers(-2**40, 2**40), st.integers(1, 2**40))
+@settings(max_examples=100, deadline=None)
+def test_reconstruct_recovers_fraction(num, den):
+    # four table primes exceed 2 bound^2 for bound 2**40
+    modulus = 1
+    for p in la._primes(4):
+        modulus *= p
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    assume(gcd(den, modulus) == 1)
+    u = num * pow(den, -1, modulus) % modulus
+    assert la._reconstruct(u, modulus, 2**40) == (num, den)
+    assert la._lift_vector([u, 0, 1], modulus, 2**40) == ([num, 0, den], den)
+
+
+def test_in_kernel_past_float64_bound():
+    # (1, 1) . (2**60, 1 - 2**60) = 1, but float64 rounds 1 - 2**60 to
+    # -2**60 and would report 0; past the 2**53 bound the product is exact
+    a = int_matrix([[1, 1], [0, 0]])
+    assert la._in_kernel(a, [[2**60, -(2**60)]])
+    assert not la._in_kernel(a, [[2**60, 1 - 2**60]])
+    assert not la._in_kernel(a, [[1, 0]])
+
+
+def _count_rref_calls(monkeypatch) -> list:
+    calls = []
+    real = la._rref_mod
+
+    def counting(h, p):
+        calls.append(p)
+        return real(h, p)
+
+    monkeypatch.setattr(la, "_rref_mod", counting)
+    return calls
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["first", "second"])
+def test_rational_kernel_skips_unlucky_prime(monkeypatch, which):
+    # mod p the pivot is column 1, not column 0.  As the first prime, p
+    # gives the vector (1, 0), which fails the exact check, and the next
+    # prime restarts the lift; as the second, p must be skipped, not
+    # combined with the first prime's residues (-1/p lifts only from three
+    # primes other than p)
+    p = la._primes(which + 1)[which]
+    calls = _count_rref_calls(monkeypatch)
+    got = _same_kernel(int_matrix([[p, 1], [0, 0]]), 0)
+    assert [v.tolist() for v in got] == [[1, -p]]
+    assert calls[which] == p and len(calls) > which + 1
+
+
+def test_rational_kernel_lifts_by_crt(monkeypatch):
+    # kernel (c, b) with b, c near 2**20: one 27-bit prime reconstructs
+    # fractions only up to 2**13, so a second prime must be combined
+    b, c = 2**20 + 7, 2**19 + 3
+    calls = _count_rref_calls(monkeypatch)
+    got = _same_kernel(int_matrix([[b, -c], [0, 0]]), 0)
+    assert [v.tolist() for v in got] == [[c, b]]
+    assert len(calls) == 2
+
+
+def test_rational_kernel_budget_exhausted_raises(monkeypatch):
+    b, c = 2**20 + 7, 2**19 + 3
+    monkeypatch.setattr(la, "_kernel_prime_budget", lambda mat: 1)
+    with pytest.raises(la.CertificateError):
+        la.rational_kernel(int_matrix([[b, -c], [0, 0]]), 0)
+
+
+@pytest.mark.parametrize("rows", [[[2**20 + 7, -(2**19 + 3)], [0, 0]],
+                                  [[3, 1, 4], [1, 5, 9], [2, 6, 5]],
+                                  [[0, 0], [0, 0]]])
+def test_kernel_prime_budget_covers_hadamard(rows):
+    # the budget's primes multiply past h (2 h^2 + 1), h above every minor
+    a = int_matrix(rows)
+    h2 = 1
+    for row in rows:
+        h2 *= max(1, sum(x * x for x in row))
+    h = isqrt(h2) + 1
+    product = 1
+    for p in la._primes(la._kernel_prime_budget(a)):
+        product *= p
+    assert product > h * (2 * h * h + 1)
+
+
 def test_rank():
     assert la.rank(la.ones_matrix(3)) == 1
     assert la.rank(la.identity(4)) == 4
@@ -410,9 +601,11 @@ def test_rank_mod_below_rational_rank():
     assert la.rank(a) == 2
 
 
-@pytest.mark.parametrize("entry", [Fraction(1, 2), 0.5], ids=["Fraction", "float"])
+@pytest.mark.parametrize("entry", [Fraction(1, 2), 0.5, Fraction(2, 1), 2.0],
+                         ids=["Fraction", "float", "integral Fraction", "integral float"])
 def test_exact_routines_reject_non_int_entries(entry):
-    # reducing mod p would truncate such an entry to an int without error
+    # reducing mod p would truncate such an entry to an int without error,
+    # and would take an integral Fraction or float for the int it equals
     arr = int_matrix([[1, 1], [3, 2]])
     arr[0, 0] = entry
     with pytest.raises(TypeError):
