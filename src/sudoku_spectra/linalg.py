@@ -31,6 +31,7 @@ __all__ = [
     "DimensionMismatch",
     "ConvergenceError",
     "CertificateError",
+    "CandidateLimitError",
     "identity",
     "ones_matrix",
     "zeros_matrix",
@@ -61,6 +62,11 @@ class ConvergenceError(RuntimeError):
 class CertificateError(ArithmeticError):
     """An exact certificate contradicts itself: an internal error, never a
     property of the input."""
+
+
+class CandidateLimitError(ArithmeticError):
+    """An exact search has more candidates than its explicit limit, which
+    the message names."""
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +141,11 @@ def _require_symmetric(a) -> np.ndarray:
 # norm (Schur's inequality, then Maclaurin's; see `_coeff_bound`), so the
 # result is exact; reduction mod p commutes with the characteristic
 # polynomial, hence there are no unlucky primes.  All per-prime work runs
-# vectorized in int64 (27-bit primes keep products and length<=512 dot
-# products inside 63 bits).
+# vectorized in int64: the recurrence keeps p_0 .. p_n as the rows of one
+# (n+1) x (n+1) table and forms each p_i with one dot product of at most n
+# terms, each at most (p-1)^2 for residues in [0, p).  With p < 2**27 the
+# sum stays at most n (p-1)^2 < 2**63 for n <= 512, which is the size limit
+# of `char_poly`.
 
 _PRIME_LIMIT = (1 << 27) - 1
 _primes_cache: list[int] = []
@@ -204,7 +213,19 @@ def _coeff_bound(a) -> int:
 def _charpoly_mod(a_mod: np.ndarray, p: int) -> np.ndarray:
     """char poly of a matrix over F_p, coefficients ascending, in [0, p).
 
-    Reduces a_mod (int64, entries in [0, p)) to Hessenberg form in place.
+    Reduces a_mod (int64, entries in [0, p)) to Hessenberg form h in place,
+    then runs the Hessenberg recurrence (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 2.2.9)
+
+        p_i = x p_{i-1} - sum_{j=1..i} h_{j,i} h_{j+1,j} ... h_{i,i-1} p_{j-1}
+
+    (1-based; the j = i term is h_{i,i} p_{i-1}).  Row t of an int64 table
+    holds p_t, so step i forms its coefficients c_j in Python ints and
+    subtracts one dot product c @ table[rows p_{j-1}].  Its at most n <= 512
+    terms are each at most (p-1)^2, so the sum is below 2**63 before it is
+    reduced.  The products of subdiagonal entries run from j = i-1 down and
+    stop at the first one that is 0 mod p, since every term below it
+    vanishes too.
     """
     h = a_mod
     n = h.shape[0]
@@ -226,25 +247,23 @@ def _charpoly_mod(a_mod: np.ndarray, p: int) -> np.ndarray:
             rows, f = j + 2 + live, f[live]
             h[rows, j:] = (h[rows, j:] - f[:, None] * h[j + 1, j:]) % p
             h[:, j + 1] = (h[:, j + 1] + h[:, rows] @ f) % p
-    # p_i = (x - h_ii) p_{i-1} - sum_j h_{j,i} (prod of subdiagonal) p_{j-1}
-    polys = [np.array([1], dtype=np.int64)]
+    # c[t] multiplies table row lo + t, that is p_{j-1} for j = lo + t + 1
+    hrows = h.tolist()
+    table = np.zeros((n + 1, n + 1), dtype=np.int64)
+    table[0, 0] = 1
     for i in range(1, n + 1):
-        prev = polys[i - 1]
-        cur = np.zeros(i + 1, dtype=np.int64)
-        cur[1:] = prev
-        d = int(h[i - 1, i - 1])
-        if d:
-            cur[:i] = (cur[:i] - d * prev) % p
+        c = [hrows[i - 1][i - 1]]
         prod = 1
         for j in range(i - 1, 0, -1):
-            prod = prod * int(h[j, j - 1]) % p
+            prod = prod * hrows[j][j - 1] % p
             if prod == 0:
                 break
-            c = int(h[j - 1, i - 1]) * prod % p
-            if c:
-                cur[:j] = (cur[:j] - c * polys[j - 1]) % p
-        polys.append(cur % p)
-    return polys[n]
+            c.append(hrows[j - 1][i - 1] * prod % p)
+        c.reverse()
+        lo = i - len(c)
+        table[i, 1:i + 1] = table[i - 1, :i]
+        table[i, :i] = (table[i, :i] - np.array(c, dtype=np.int64) @ table[lo:i, :i]) % p
+    return table[n]
 
 
 def char_poly(a) -> tuple[int, ...]:
@@ -252,7 +271,7 @@ def char_poly(a) -> tuple[int, ...]:
     a = _require_square(a)
     n = a.shape[0]
     if n > 512:
-        # 27-bit primes guarantee int64-safe dot products only up to n=512
+        # the recurrence's int64 dot products stay exact for n (p-1)^2 < 2**63
         raise DimensionMismatch(f"char_poly supports n <= 512, got {n}")
     target = 2 * _coeff_bound(a) + 1
     a_int = _for_residues(a)
@@ -299,41 +318,61 @@ def _deflate(coeffs: list[int], r: int) -> tuple[list[int], int]:
     return q, acc
 
 
-def integer_roots(
-    p, max_abs_root: int | None = None
-) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
-    """All integer roots of a monic polynomial, with multiplicities.
+# integer_roots tries every integer of size at most this; past it, a sieve
+# modulo small primes proposes the candidates
+_ROOT_SCAN = 1 << 15
+# the sieve refuses to track more residue classes than this
+_ROOT_SIEVE_LIMIT = 1 << 16
 
-    Candidates are the nonzero integers of size at most min(max_abs_root,
-    |c_0|) dividing the constant term c_0, the cap recomputed after each
-    deflation; for eigenvalue work callers pass the Gershgorin row-sum
-    bound of the matrix.  Without a bound the Cauchy bound
-    1 + max|c_i| is used, which is refused when impractically large.
-    Returns (sorted (root, multiplicity) list, residual polynomial); the
-    residual has no integer roots and
-    prod (x-r)^mult * residual == p exactly.
+
+def _small_primes():
+    q = 2
+    while True:
+        if all(q % d for d in range(2, isqrt(q) + 1)):
+            yield q
+        q += 1
+
+
+def _sieved_root_candidates(coeffs: list[int], cap: int) -> list[int]:
+    """Ascending nonzero integers of [-cap, cap] that include every integer
+    root of the polynomial (ascending coeffs).
+
+    An integer root is a root mod every prime q, so it lies in one of the
+    residue classes, modulo a product Q of the first primes, built by CRT
+    from the roots mod each q.  Primes are added until Q > 2 cap, when each
+    class holds at most one integer of [-cap, cap].  Raises
+    CandidateLimitError when the classes would pass _ROOT_SIEVE_LIMIT.
     """
-    coeffs = [operator.index(c) for c in p]
-    if not coeffs or coeffs[-1] != 1:
-        raise ValueError("monic polynomial required")
-    roots: list[tuple[int, int]] = []
-    mult0 = next(i for i, c in enumerate(coeffs) if c != 0)
-    if mult0:
-        roots.append((0, mult0))
-        coeffs = coeffs[mult0:]
-    if max_abs_root is None:
-        bound = 1 + max(abs(c) for c in coeffs)
-        if bound > 10**6:
-            raise ValueError("coefficients too large; pass max_abs_root")
-    else:
-        bound = max_abs_root
-    # a nonzero integer root divides the constant term, which deflation by
-    # nonzero roots keeps nonzero, so |c_0| caps the candidates as well
-    r = -bound
-    while len(coeffs) > 1:
-        cap = min(bound, abs(coeffs[0]))
-        r = max(r, -cap)
-        if r > cap:
+    classes, modulus = [0], 1
+    for q in _small_primes():
+        if modulus > 2 * cap:
+            break
+        x = np.arange(q, dtype=np.int64)
+        value = np.zeros(q, dtype=np.int64)
+        for c in reversed(coeffs):  # Horner on residues below q < 2**31
+            value = (value * x + c % q) % q
+        roots = np.flatnonzero(value == 0).tolist()
+        if len(classes) * len(roots) > _ROOT_SIEVE_LIMIT:
+            raise CandidateLimitError(
+                f"integer_roots: more than {_ROOT_SIEVE_LIMIT} candidate root classes "
+                f"mod {modulus * q} for roots up to {cap} in size"
+            )
+        inv = pow(modulus, -1, q)
+        classes = [u + modulus * ((r - u) * inv % q) for u in classes for r in roots]
+        if not classes:
+            return []
+        modulus *= q
+    # u and u - modulus cannot both lie in [-cap, cap] since modulus > 2 cap
+    return sorted(v for u in classes for v in (u, u - modulus) if v and -cap <= v <= cap)
+
+
+def _deflate_roots(coeffs: list[int], candidates, roots: list) -> list[int]:
+    """Divide out each ascending nonzero candidate that is a root, as often
+    as it divides, appending (root, multiplicity) to roots; returns the
+    quotient.  Deflation by nonzero roots keeps c_0 nonzero, and a root
+    divides it, so candidates past |c_0| are not tried."""
+    for r in candidates:
+        if len(coeffs) == 1 or r > abs(coeffs[0]):
             break
         if r and coeffs[0] % r == 0:
             mult = 0
@@ -345,7 +384,40 @@ def integer_roots(
                 mult += 1
             if mult:
                 roots.append((r, mult))
-        r += 1
+    return coeffs
+
+
+def integer_roots(
+    p, max_abs_root: int | None = None
+) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
+    """All integer roots of a monic polynomial, with multiplicities.
+
+    A nonzero integer root divides the constant term c_0, so candidates are
+    the nonzero integers of size at most cap = min(max_abs_root, |c_0|)
+    that divide c_0; for eigenvalue work callers pass the Gershgorin
+    row-sum bound of the matrix.  Every integer up to _ROOT_SCAN in size is
+    tried; the larger ones only when a sieve over the roots mod small primes
+    (`_sieved_root_candidates`, run after the small roots are divided out)
+    leaves them, which raises CandidateLimitError when too many residue
+    classes survive.  Returns (sorted (root, multiplicity) list, residual
+    polynomial); the residual has no integer roots of size at most cap and
+    prod (x-r)^mult * residual == p exactly.
+    """
+    coeffs = [operator.index(c) for c in p]
+    if not coeffs or coeffs[-1] != 1:
+        raise ValueError("monic polynomial required")
+    roots: list[tuple[int, int]] = []
+    mult0 = next(i for i, c in enumerate(coeffs) if c != 0)
+    if mult0:
+        roots.append((0, mult0))
+        coeffs = coeffs[mult0:]
+    cap = abs(coeffs[0]) if max_abs_root is None else min(abs(coeffs[0]), max_abs_root)
+    scan = min(cap, _ROOT_SCAN)
+    coeffs = _deflate_roots(coeffs, range(-scan, scan + 1), roots)
+    cap = min(cap, abs(coeffs[0]))
+    if cap > scan and len(coeffs) > 1:
+        big = [r for r in _sieved_root_candidates(coeffs, cap) if abs(r) > scan]
+        coeffs = _deflate_roots(coeffs, big, roots)
     return sorted(roots), tuple(coeffs)
 
 
@@ -644,7 +716,7 @@ def _bareiss_echelon(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 
 def _rank_mod(mat: np.ndarray, p: int) -> int:
-    h = (mat % p).astype(np.int64)
+    h = (_for_residues(mat) % p).astype(np.int64, copy=False)
     n_rows, n_cols = h.shape
     r = 0
     for c in range(n_cols):

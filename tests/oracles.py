@@ -5,7 +5,9 @@ multi-modular `char_poly`, `bareiss_det` gives det(lam*I - A) for checking
 characteristic-polynomial evaluations, `kernel_bareiss` is the
 fraction-free kernel the modular `linalg.rational_kernel` must reproduce
 byte for byte, `rank_mod_dense` is the whole-row modular elimination the
-sparse `linalg._rank_mod` is checked against, and
+sparse `linalg._rank_mod` is checked against, `hessenberg_charpoly_scalar`
+is the one-term-at-a-time recurrence the table recurrence of
+`linalg._charpoly_mod` must reproduce, and
 `substitute_template` builds the blow-up symbol by symbol as the reference
 for `blown_adjacency`.
 `spectrum_charpoly`, `poly_eval`, `trace` and `eigenvalue_sum` read a
@@ -159,6 +161,33 @@ def rank_mod_dense(mat, p: int) -> int:
         if r == n_rows:
             break
     return r
+
+
+def hessenberg_charpoly_scalar(h, p: int) -> np.ndarray:
+    """Characteristic polynomial mod p (ascending, in [0, p)) of an upper
+    Hessenberg int64 matrix h with entries in [0, p), by the Hessenberg
+    recurrence with one slice update per term.  Each update subtracts a
+    single product c * p_{j-1} with both factors below p and reduces at
+    once, so no int64 intermediate exceeds p^2 < 2**54."""
+    n = h.shape[0]
+    polys = [np.array([1], dtype=np.int64)]
+    for i in range(1, n + 1):
+        prev = polys[i - 1]
+        cur = np.zeros(i + 1, dtype=np.int64)
+        cur[1:] = prev
+        d = int(h[i - 1, i - 1])
+        if d:
+            cur[:i] = (cur[:i] - d * prev) % p
+        prod = 1
+        for j in range(i - 1, 0, -1):
+            prod = prod * int(h[j, j - 1]) % p
+            if prod == 0:
+                break
+            c = int(h[j - 1, i - 1]) * prod % p
+            if c:
+                cur[:j] = (cur[:j] - c * polys[j - 1]) % p
+        polys.append(cur % p)
+    return polys[n]
 
 
 def substitute_template(t, k: int) -> np.ndarray:

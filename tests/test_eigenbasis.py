@@ -429,3 +429,44 @@ def test_build_families_kernels_are_modular(monkeypatch, t):
     families = build_families(t, 3)
     n = t.n_cells
     assert tuple(len(f) for f in families) == (2 * n, 2 * n, 4 * n, n)
+
+
+@pytest.mark.parametrize("t, k", [(classical_tiling(2), 2), (random_tiling(3, 1), 3),
+                                  (random_tiling(4, 2), 2)],
+                         ids=["classical2-k2", "random3-1-k3", "random4-2-k2"])
+def test_build_families_match_vectorwise_kron(t, k):
+    # one product per family gives kron(x, w) for each seed vector x and
+    # tail w, x-major and tail-minor, with the same entry types
+    families = build_families(t, k)
+    for kind, seed, tails, _ in eigenbasis_mod._family_table(t, k):
+        fam = next(f for f in families if f.kind == kind)
+        if seed is None:
+            xs = [la.unit_vector(t.n_cells, i) for i in range(t.n_cells)] if tails else []
+        else:
+            xs = [x for space in eigenvector_basis(seed) for x in space.vectors]
+        expected = [la.kron(x, w) for x in xs for w in tails]
+        assert len(fam.vectors) == len(expected)
+        for got, want in zip(fam.vectors, expected):
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+            assert [type(v) for v in got] == [type(v) for v in want]
+
+
+def test_basis_rank_falls_back_when_short_mod_p(monkeypatch):
+    # a vector scaled by the rank prime is 0 mod p but keeps the rational
+    # rank full: the short modular rank hands over to linalg.rank
+    t = classical_tiling(2)
+    p = la._primes(1)[0]
+    families = _with_vector(build_families(t, 2), "XM", 15, lambda v: v * p)
+    calls = []
+    real = la.rank
+    monkeypatch.setattr(la, "rank", lambda mat: calls.append(mat.shape) or real(mat))
+    assert eigenbasis_mod._basis_rank(families, 64) == 64
+    assert calls == [(64, 64)]
+
+
+def test_basis_rank_deficient_stack_fails():
+    t = classical_tiling(2)
+    families = build_families(t, 2)
+    doubled = _with_vector(families, "XE", 3, lambda v: families[2].vectors[2].copy())
+    with pytest.raises(VerificationFailure, match=r"^basis-rank: rank 63 != 64$"):
+        eigenbasis_mod._basis_rank(doubled, 64)

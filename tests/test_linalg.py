@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import comb, gcd, isqrt
 
@@ -10,6 +11,7 @@ from conftest import tilings
 from oracles import (
     bareiss_det,
     charpoly_berkowitz,
+    hessenberg_charpoly_scalar,
     int_matrix,
     kernel_bareiss,
     poly_eval,
@@ -100,10 +102,10 @@ def test_charpoly_eval_is_det(rows, lam):
 
 
 @st.composite
-def permuted_block_diagonals(draw):
+def permuted_block_diagonals(draw, min_n=6, max_n=12):
     """A block-diagonal matrix, rows and columns permuted alike: its
     Hessenberg form has zero subdiagonal entries between the blocks."""
-    n = draw(st.integers(6, 12))
+    n = draw(st.integers(min_n, max_n))
     cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=4)))
     a = np.zeros((n, n), dtype=object)
     for lo, hi in zip([0, *cuts], [*cuts, n]):
@@ -118,6 +120,45 @@ def permuted_block_diagonals(draw):
 @settings(max_examples=40, deadline=None)
 def test_charpoly_matches_berkowitz_block_diagonal(a):
     assert la.char_poly(a) == charpoly_berkowitz(a)
+
+
+@given(permuted_block_diagonals(20, 40))
+@settings(max_examples=10, deadline=None)
+def test_charpoly_matches_berkowitz_block_diagonal_large(a):
+    # subdiagonal zeros cut the recurrence's dot products at this size too
+    assert la.char_poly(a) == charpoly_berkowitz(a)
+
+
+@pytest.mark.parametrize("subdiagonal", ["p-1", "1"])
+def test_charpoly_recurrence_int64_edge(subdiagonal):
+    # entries p - 1 on and above the diagonal, no zero subdiagonal product,
+    # so every step sums the most terms, each up to (p - 1)^2.  With a
+    # subdiagonal of 1 every coefficient is p - 1 and the unreduced sums
+    # reach about 2**62, half the int64 range; with p - 1 they reach 2**60
+    p = la._primes(1)[0]
+    h = np.triu(np.full((512, 512), p - 1, dtype=np.int64))
+    h += np.diag(np.full(511, p - 1 if subdiagonal == "p-1" else 1, dtype=np.int64), -1)
+    expected = hessenberg_charpoly_scalar(h, p)
+    got = la._charpoly_mod(h.copy(), p)
+    assert got.dtype == np.int64 and got.tolist() == expected.tolist()
+
+
+@st.composite
+def hessenberg_residues(draw):
+    """An upper Hessenberg int64 matrix mod the first CRT prime, entries
+    0, 1 or p - 1, so subdiagonal products vanish at random places."""
+    p = la._primes(1)[0]
+    n = draw(st.integers(1, 14))
+    values = st.sampled_from([0, 1, p - 1])
+    h = np.array(draw(st.lists(values, min_size=n * n, max_size=n * n)), dtype=np.int64)
+    return np.triu(h.reshape(n, n), -1), p
+
+
+@given(hessenberg_residues())
+@settings(max_examples=60, deadline=None)
+def test_charpoly_recurrence_matches_scalar(case):
+    h, p = case
+    assert la._charpoly_mod(h.copy(), p).tolist() == hessenberg_charpoly_scalar(h, p).tolist()
 
 
 @st.composite
@@ -214,6 +255,63 @@ def test_integer_roots_large_bound_small_constant_term():
     poly = la.char_poly(int_matrix([[0, 1], [1, 10**7]]))
     assert poly == (-1, -10**7, 1)
     assert la.integer_roots(poly, 10**7 + 1) == ([], poly)
+
+
+@given(st.lists(st.integers(-5, 5), max_size=4), st.integers(1, 5), st.integers(0, 4000))
+@example([3, -2, 5, 5], 4, 4000)
+@example([0, 1, -1, 2], 1, 3)
+@settings(max_examples=60, deadline=None)
+def test_integer_roots_sieve_matches_scan(roots_in, c, bound):
+    # with no integer scanned, every candidate comes from the sieve; at
+    # degree <= 6 its classes stay below 2 * 3 * 5 * 6**3, far under the limit
+    poly = (c, 1, 1)
+    for r in roots_in:
+        poly = la.poly_mul(poly, (-r, 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(la, "_ROOT_SCAN", 0)
+        assert la.integer_roots(poly, bound) == _integer_roots_scan(poly, bound)
+
+
+@given(st.integers(-10**15, 10**15), st.lists(st.integers(-6, 6), max_size=3),
+       st.integers(1, 5))
+@example(2**40, [], 1)
+@example(-(2**45 + 1), [3, 3, -6], 5)
+@settings(max_examples=60, deadline=None)
+def test_integer_roots_large_root(big, small, c):
+    # one root far past the scan, small ones inside it, times x^2 + x + c,
+    # which has no real roots.  The small roots are divided out first, and
+    # for c <= 5 the quadratic splits mod few enough of the first primes
+    # that the sieve keeps under 9000 classes, far below its limit
+    roots_in = [big, *small]
+    poly = (c, 1, 1)
+    for r in roots_in:
+        poly = la.poly_mul(poly, (-r, 1))
+    roots, resid = la.integer_roots(poly)
+    assert roots == sorted((r, roots_in.count(r)) for r in set(roots_in))
+    assert resid == (c, 1, 1)
+
+
+def test_exact_spectrum_huge_entry_terminates():
+    # no certificate prime exceeds 2 * 2**40, so the char_poly route runs,
+    # and its one candidate root 2**40 comes from the sieve
+    start = time.perf_counter()
+    s = exact_spectrum(np.array([[2**40]], dtype=object))
+    assert time.perf_counter() - start < 1.0
+    assert s.integer_part == ((2**40, 1),) and s.residual == (1,)
+
+
+def test_integer_roots_candidate_limit_exits_3(capsys):
+    # thirty consecutive roots past the scan are roots mod every small
+    # prime: the sieve's classes multiply past its limit
+    from sudoku_spectra import cli
+
+    poly = (1,)
+    for i in range(30):
+        poly = la.poly_mul(poly, (-(2**40 + i), 1))
+    with pytest.raises(la.CandidateLimitError, match=f"more than {la._ROOT_SIEVE_LIMIT} "):
+        la.integer_roots(poly)
+    assert cli.run_guarded(lambda args: la.integer_roots(poly), None) == 3
+    assert f"compute error: integer_roots: more than {la._ROOT_SIEVE_LIMIT}" in capsys.readouterr().err
 
 
 def test_integer_roots_requires_monic():
