@@ -53,7 +53,7 @@ def report(args) -> int:
         print(f"  largest eigenvalue {rep.max_predicted:.6f} from {rep.max_family} "
               f"(lower bound {rep.max_lower_bound})")
         for fam in rep.families:
-            if not fam.vectors:
+            if not len(fam):
                 continue
             grouped = Counter(round(float(v), 9) for v in fam.eigenvalues)
             desc = "  ".join(f"{v:g} (x{c})" for v, c in sorted(grouped.items()))

@@ -57,17 +57,16 @@ def substitution_set(k: int) -> SubstitutionSet:
 
 
 def blown_adjacency(t: Tiling, k: int) -> np.ndarray:
-    """Adjacency of the k-fold blow-up, subsquare vertex order."""
+    """Adjacency of the k-fold blow-up, subsquare vertex order.
+
+    The 0/1 sum is formed in int64 from the layer masks and converted to
+    object once; the conversion yields Python ints."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    d = graph.layers(t)
+    l_b, l_h, l_v = graph._layer_masks(t)
     s = substitution_set(k)
-    return (
-        kron(d.l_b, s.b)
-        + kron(d.l_h, s.h)
-        + kron(d.l_v, s.v)
-        + kron(identity(t.n_cells), s.d)
-    )
+    blocks = ((l_b, s.b), (l_h, s.h), (l_v, s.v), (np.eye(t.n_cells, dtype=bool), s.d))
+    return sum(np.kron(mask, sub.astype(np.int64)) for mask, sub in blocks).astype(object)
 
 
 def subsquare_permutation(m: int, k: int) -> np.ndarray:

@@ -16,17 +16,35 @@ totalling k^2 N, and they are jointly independent; the largest eigenvalue
 always comes from XM.  Eigenvector ingredients with integer eigenvalues
 are exact (integer vectors from rational kernels); non-integer eigenpairs
 come from the floating-point oracle and are flagged approximate.
+
+A family is kept in factored form, its seed eigenspaces and its tails w,
+and `verify` proves the basis on those factors, never on the k^2 N blown
+vectors:
+  1. `blowup.reconcile` ties the directly built graph of the blown-up
+     tiling to blown = l_b (x) B + l_h (x) H + l_v (x) V + I (x) D;
+  2. each tail satisfies B w = beta w, H w = eta w, V w = nu w and
+     D w = delta w, with (beta, eta, nu, delta) = (0, 0, k, -1) for XV,
+     (0, k, 0, -1) for XH, (0, 0, 0, -1) for XE and (k^2, k, k, k^2 - 1)
+     for XM, so by the mixed-product rule blown (x (x) w) = (E x) (x) w
+     for E = beta l_b + eta l_h + nu l_v + delta I, and an N x N check
+     E x = mu x makes x (x) w an eigenvector;
+  3. tails of different families are orthogonal, hence so are their blown
+     vectors, and the rank of the whole stack is the sum over families;
+  4. rank(X (x) W) = rank X * rank W, so each family's rank comes from its
+     N x N seed stack X and its k^2-vector tails W.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from . import graph, linalg, spectra
-from .blowup import blown_adjacency
-from .linalg import ConvergenceError, all_ones, kron, unit_vector
+from .blowup import blown_adjacency, substitution_set
+from .linalg import ConvergenceError, all_ones, identity, kron, unit_vector
 from .tiling import Tiling
 
 __all__ = [
@@ -70,13 +88,42 @@ class EigenSpace:
 
 @dataclass(frozen=True, eq=False)
 class EigenFamily:
+    """One family of the blow-up eigenbasis, in factored form.
+
+    Its blown vectors are x (x) w for every seed vector x of `spaces`
+    (x-major) and every k^2-vector w of `tails` (tail-minor).  Each tail
+    is an eigenvector of B, H, V and D (`blowup.substitution_set`) for
+    `coefficients` = (beta, eta, nu, delta), and each space is an
+    eigenspace of beta l_b + eta l_h + nu l_v + delta I whose value is the
+    blown eigenvalue.  `vectors` expands the blown vectors on demand.
+    """
+
     kind: str
-    vectors: tuple[np.ndarray, ...]
-    eigenvalues: tuple
-    exact: tuple[bool, ...]
+    spaces: tuple[EigenSpace, ...]
+    tails: tuple[np.ndarray, ...]
+    coefficients: tuple[int, int, int, int]
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return sum(s.dim for s in self.spaces) * len(self.tails)
+
+    @property
+    def eigenvalues(self) -> tuple:
+        return tuple(s.value for s in self.spaces for _ in range(s.dim * len(self.tails)))
+
+    @property
+    def exact(self) -> tuple[bool, ...]:
+        return tuple(s.exact for s in self.spaces for _ in range(s.dim * len(self.tails)))
+
+    @property
+    def vectors(self) -> tuple[np.ndarray, ...]:
+        ws = np.array(self.tails, dtype=object)
+        out = []
+        for space in self.spaces:
+            # row (a, b) is kron(x_a, w_b)
+            xs = np.array(space.vectors, dtype=object)
+            count = len(xs) * len(ws)
+            out.extend((xs[:, None, :, None] * ws[None, :, None, :]).reshape(count, -1))
+        return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,48 +221,41 @@ def eigenvector_basis(a) -> list[EigenSpace]:
 def _family_table(t: Tiling, k: int) -> tuple:
     """The blow-up structure theorem, one row per family: (kind, N x N seed
     matrix or None for the unit-vector seeds of XE, the k^2-vectors each
-    seed eigenvector is tensored with, seed eigenvalue -> blow-up eigenvalue).
+    seed eigenvector is tensored with, their eigenvalues (beta, eta, nu,
+    delta) under B, H, V and D, seed eigenvalue -> blow-up eigenvalue).
     """
     kj = kj_basis(k)
     ones_k = all_ones(k)
     d = graph.layers(t)
     return (
-        ("XV", d.l_v, [kron(ones_k, y) for y in kj], lambda lam: lam * k - 1),
-        ("XH", d.l_h, [kron(y, ones_k) for y in kj], lambda lam: lam * k - 1),
-        ("XE", None, [kron(y, z) for y in kj for z in kj], lambda lam: -1),
+        ("XV", d.l_v, [kron(ones_k, y) for y in kj], (0, 0, k, -1), lambda lam: lam * k - 1),
+        ("XH", d.l_h, [kron(y, ones_k) for y in kj], (0, k, 0, -1), lambda lam: lam * k - 1),
+        ("XE", None, [kron(y, z) for y in kj for z in kj], (0, 0, 0, -1), lambda lam: -1),
         ("XM", k * k * d.l_b + k * d.l_h + k * d.l_v, [all_ones(k * k)],
-         lambda lam: lam + k * k - 1),
+         (k * k, k, k, k * k - 1), lambda lam: lam + k * k - 1),
     )
 
 
 def build_families(
     t: Tiling, k: int
 ) -> tuple[EigenFamily, EigenFamily, EigenFamily, EigenFamily]:
-    """Assemble the four eigenvector families of the k-fold blow-up.
+    """Assemble the four eigenvector families of the k-fold blow-up, each
+    as its seed eigenspaces (valued at the blow-up eigenvalue) and tails.
 
     For k = 1 the first three families are empty (ker(J_1) is trivial) and
     XM alone is a full eigenbasis of the original adjacency.
     """
     families = []
-    for kind, seed, tails, to_blown in _family_table(t, k):
-        vectors, values, exact = [], [], []
+    for kind, seed, tails, coefficients, to_blown in _family_table(t, k):
+        spaces: tuple[EigenSpace, ...] = ()
         if tails:
             if seed is None:  # XE: its eigenvalue map ignores the value
                 units = tuple(unit_vector(t.n_cells, i) for i in range(t.n_cells))
-                spaces = [EigenSpace(0, units, True)]
+                seed_spaces = [EigenSpace(0, units, True)]
             else:
-                spaces = eigenvector_basis(seed)
-            ws = np.array(tails, dtype=object)
-            for space in spaces:
-                # row (a, b) is kron(x_a, w_b): x-major, tail-minor.  One
-                # product per family instead raised the peak RSS of
-                # `blowup --verify` on classical n=3, k=3 by about 4 MB
-                xs = np.array(space.vectors, dtype=object)
-                count = len(xs) * len(ws)
-                vectors.extend((xs[:, None, :, None] * ws[None, :, None, :]).reshape(count, -1))
-                values += [to_blown(space.value)] * count
-                exact += [space.exact] * count
-        families.append(EigenFamily(kind, tuple(vectors), tuple(values), tuple(exact)))
+                seed_spaces = eigenvector_basis(seed)
+            spaces = tuple(EigenSpace(to_blown(s.value), s.vectors, s.exact) for s in seed_spaces)
+        families.append(EigenFamily(kind, spaces, tuple(tails), coefficients))
     return tuple(families)  # type: ignore[return-value]
 
 
@@ -228,7 +268,7 @@ def blowup_is_integral(t: Tiling, k: int) -> bool:
     """
     return all(
         spectra.exact_spectrum(seed).is_integral
-        for _, seed, tails, _ in _family_table(t, k)
+        for _, seed, tails, _, _ in _family_table(t, k)
         if tails and seed is not None
     )
 
@@ -263,8 +303,7 @@ def _as_float(vec: np.ndarray) -> np.ndarray:
 
 # Integer products are exact in float64 while every partial sum stays below
 # 2**53 (the FFLAS-FFPACK technique: Dumas, Giorgi, Pernet, ACM TOMS 35(3),
-# 2008).  Exact family vectors are checked _CHUNK at a time in one product.
-_CHUNK = 128
+# 2008).  A family's exact seed vectors are checked in one such product.
 
 
 def _fits_float64(row_sum: int, mu_max: int, v_max: int) -> bool:
@@ -276,90 +315,131 @@ def _fits_float64(row_sum: int, mu_max: int, v_max: int) -> bool:
     return (row_sum + mu_max) * v_max < linalg._FLOAT64_EXACT
 
 
-def _first_inexact(up_a: np.ndarray, up_f: np.ndarray, vecs, mus) -> int | None:
-    """Index of the first integer vector with up_a @ vec != mu * vec, or None.
+def _inexact(e: np.ndarray, vecs, mus) -> np.ndarray:
+    """Mask of the integer vectors with e @ vec != mu * vec: one float64
+    product when `_fits_float64` proves it exact, vector by vector on the
+    object array otherwise."""
+    row_sum = int(np.abs(e).sum(axis=1).max())
+    v_max = max(int(np.abs(vec).max()) for vec in vecs)
+    if _fits_float64(row_sum, max(abs(m) for m in mus), v_max):
+        v = np.array(vecs, dtype=float).T
+        return np.any(e.astype(float) @ v != v * np.array(mus, dtype=float), axis=0)
+    return np.array([
+        bool(np.any(e[:, vec != 0] @ vec[vec != 0] != m * vec)) for vec, m in zip(vecs, mus)
+    ])
 
-    Each chunk of _CHUNK vectors is one float64 product with up_f (up_a as
-    floats) when `_fits_float64` proves it exact, and is checked vector by
-    vector on the object array otherwise.
-    """
-    row_sum = int(np.abs(up_a).sum(axis=1).max())
-    for start in range(0, len(vecs), _CHUNK):
-        chunk, mu = vecs[start:start + _CHUNK], mus[start:start + _CHUNK]
-        v_max = max(int(np.abs(vec).max()) for vec in chunk)
-        if _fits_float64(row_sum, max(abs(m) for m in mu), v_max):
-            v = np.array(chunk, dtype=float).T
-            bad = np.flatnonzero(np.any(up_f @ v != v * np.array(mu, dtype=float), axis=0))
-        else:
-            bad = [
-                j for j, (vec, m) in enumerate(zip(chunk, mu))
-                if np.any(up_a[:, vec != 0] @ vec[vec != 0] != m * vec)
-            ]
-        if len(bad):
-            return start + int(bad[0])
+
+def _blown_frobenius(d, subs, n: int) -> float:
+    """||blown||_F from the factors.  The four Kronecker terms of blown
+    have disjoint supports (the layers are disjoint with zero diagonals), so
+    ||blown||_F^2 = sum ||L||_F^2 ||S||_F^2 over (l_b, B), (l_h, H), (l_v, V)
+    and (I, D)."""
+    def sq(mat):
+        return int((mat * mat).sum())
+
+    return math.sqrt(
+        sq(d.l_b) * sq(subs.b) + sq(d.l_h) * sq(subs.h) + sq(d.l_v) * sq(subs.v)
+        + n * sq(subs.d)
+    )
+
+
+def _bad_tail(fam: EigenFamily, subs) -> str | None:
+    """Names the family's first tail w and factor S with S w != c w for its
+    coefficient c, or None."""
+    for j, w in enumerate(fam.tails):
+        for name, mat, c in zip("BHVD", (subs.b, subs.h, subs.v, subs.d), fam.coefficients):
+            if np.any(mat @ w != c * w):
+                return f"{fam.kind} tail {j}: {name} w != {c} w"
     return None
 
 
-def _max_residual(families, up_a: np.ndarray, residual_tol: float) -> float:
-    """Eigenvector clause: raise unless every family vector is an
-    eigenvector of up_a for its eigenvalue; return the largest residual of
-    the approximate ones (0.0 when all are exact).  The first failing
-    vector in family order is the one reported."""
-    up_f = np.asarray(up_a, dtype=float)
-    fro = np.linalg.norm(up_f)
-    entries = [
-        (fam.kind, vec, mu, exact)
-        for fam in families
-        for vec, mu, exact in zip(fam.vectors, fam.eigenvalues, fam.exact)
-    ]
-    exact_at = [i for i, e in enumerate(entries) if e[3]]
-    bad = _first_inexact(
-        up_a, up_f, [entries[i][1] for i in exact_at], [entries[i][2] for i in exact_at]
-    )
-    stop = len(entries) if bad is None else exact_at[bad]
+def _seed_operator(d, coefficients, n: int) -> np.ndarray:
+    """beta l_b + eta l_h + nu l_v + delta I, exact."""
+    beta, eta, nu, delta = coefficients
+    return beta * d.l_b + eta * d.l_h + nu * d.l_v + delta * identity(n)
+
+
+def _max_residual(families, d, subs, n: int, residual_tol: float) -> float:
+    """Eigenvector clause, at the factor level: raise unless every tail
+    passes `_bad_tail` and every seed vector x of a space valued mu has
+    E x = mu x, E = beta l_b + eta l_h + nu l_v + delta I the family's N x N
+    operator; then every blown vector x (x) w is an eigenvector (see
+    `verify`).  Exact seeds must satisfy it exactly, approximate ones within
+    residual_tol * ||blown||_F * ||x (x) w||, and the residual of x (x) w is
+    ||(E - mu) x|| * ||w||.  Returns the largest residual of an approximate
+    blown vector (0.0 when all are exact).  Families, then seed vectors, are
+    checked in order, and the first failure is named; a failing seed vector
+    is named as its first blown vector is."""
+    fro = _blown_frobenius(d, subs, n)
     max_residual = 0.0
-    for kind, vec, mu, exact in entries[:stop]:
-        if exact:
+    for fam in families:
+        if not len(fam):
             continue
-        vf = _as_float(vec)
-        res = float(np.linalg.norm(up_f @ vf - mu * vf))
-        allowed = residual_tol * fro * float(np.linalg.norm(vf))
-        if res > allowed:
-            raise VerificationFailure(
-                "eigenvector-residual",
-                f"{kind} eigenvalue {mu}: residual {res:.3e} > {allowed:.3e}",
-            )
-        max_residual = max(max_residual, res)
-    if bad is not None:
-        kind, _, mu, _ = entries[stop]
-        raise VerificationFailure(
-            "eigenvector-residual", f"{kind} vector for eigenvalue {mu} is not exact"
-        )
+        bad_tail = _bad_tail(fam, subs)
+        if bad_tail is not None:
+            raise VerificationFailure("eigenvector-residual", bad_tail)
+        e = _seed_operator(d, fam.coefficients, n)
+        e_f = e.astype(float)
+        w_norms = [float(np.linalg.norm(_as_float(w))) for w in fam.tails]
+        seeds = [(x, s.value, s.exact) for s in fam.spaces for x in s.vectors]
+        exact_at = [i for i, seed in enumerate(seeds) if seed[2]]
+        bad = set()
+        if exact_at:
+            mask = _inexact(e, [seeds[i][0] for i in exact_at], [seeds[i][1] for i in exact_at])
+            bad = {exact_at[i] for i in np.flatnonzero(mask)}
+        for i, (x, mu, exact) in enumerate(seeds):
+            if exact:
+                if i in bad:
+                    raise VerificationFailure(
+                        "eigenvector-residual", f"{fam.kind} vector for eigenvalue {mu} is not exact"
+                    )
+                continue
+            xf = _as_float(x)
+            r = float(np.linalg.norm(e_f @ xf - mu * xf))
+            res = r * w_norms[0]
+            allowed = residual_tol * fro * float(np.linalg.norm(xf)) * w_norms[0]
+            if res > allowed:
+                raise VerificationFailure(
+                    "eigenvector-residual",
+                    f"{fam.kind} eigenvalue {mu}: residual {res:.3e} > {allowed:.3e}",
+                )
+            max_residual = max(max_residual, r * max(w_norms))
     return max_residual
 
 
+def _exact_rank(vecs) -> int:
+    """Rank over Q of integer vectors.  Full rank mod p is full rational
+    rank, so only a short modular rank calls `linalg.rank`."""
+    mat = np.array(vecs, dtype=object)
+    found = linalg._rank_mod(mat, linalg._primes(1)[0])
+    return found if found == min(mat.shape) else linalg.rank(mat)
+
+
+def _seed_rank(fam: EigenFamily) -> int:
+    """rank X_f: exact when every seed is, else an SVD with a relative
+    1e-8 threshold."""
+    xs = [x for s in fam.spaces for x in s.vectors]
+    if all(s.exact for s in fam.spaces):
+        return _exact_rank(xs)
+    sing = np.linalg.svd(np.array([_as_float(x) for x in xs]), compute_uv=False)
+    return int(np.sum(sing > 1e-8 * sing[0]))
+
+
 def _basis_rank(families, dim: int) -> int:
-    """Rank clause: raise unless the stacked family vectors have rank dim;
-    returns the rank."""
-    stacked = [vec for fam in families for vec in fam.vectors]
-    if len(stacked) != dim:
-        raise VerificationFailure(
-            "basis-rank", f"{len(stacked)} vectors for dimension {dim}"
-        )
-    if all(all(fam.exact) for fam in families):
-        mat = np.empty((dim, dim), dtype=object)
-        for i, vec in enumerate(stacked):
-            mat[i, :] = vec
-        # build_families made every entry from Python ints, so the modular
-        # rank runs on the stack as is: full rank mod p is full rational
-        # rank, and only a short one needs `linalg.rank`
-        total_rank = linalg._rank_mod(mat, linalg._primes(1)[0])
-        if total_rank != dim:
-            total_rank = linalg.rank(mat)
-    else:
-        mat_f = np.array([_as_float(v) for v in stacked])
-        sing = np.linalg.svd(mat_f, compute_uv=False)
-        total_rank = int(np.sum(sing > 1e-8 * sing[0]))
+    """Rank clause, at the factor level: raise unless the families hold dim
+    blown vectors, the tails of different families are orthogonal and
+    sum_f rank(X_f) * rank(W_f) = dim, X_f the seed vectors and W_f the
+    tails of family f; returns that sum, the rank of the blown stack."""
+    count = sum(len(fam) for fam in families)
+    if count != dim:
+        raise VerificationFailure("basis-rank", f"{count} vectors for dimension {dim}")
+    present = [fam for fam in families if len(fam)]
+    for a, b in combinations(present, 2):
+        if np.any(np.array(a.tails, dtype=object) @ np.array(b.tails, dtype=object).T):
+            raise VerificationFailure(
+                "basis-rank", f"{a.kind} and {b.kind} tails are not orthogonal"
+            )
+    total_rank = sum(_seed_rank(fam) * _exact_rank(fam.tails) for fam in present)
     if total_rank != dim:
         raise VerificationFailure("basis-rank", f"rank {total_rank} != {dim}")
     return total_rank
@@ -376,36 +456,51 @@ def verify(
 
     Checks, in order: every family vector is an eigenvector for its
     predicted eigenvalue (exactly for integer-path vectors, within
-    residual_tol * ||A|| * ||v|| for approximate ones; the first failing
-    vector in family order is named); the stacked family
-    has full rank (exact integer rank when every vector is exact, SVD with
-    a relative 1e-8 threshold otherwise); the largest predicted
-    eigenvalue comes from XM, is at least m*k^2 - 1 and matches the oracle
-    maximum; and the predicted multiset -- the families' eigenvalues --
-    matches the float oracle pairwise within spectrum_tol.  Raises
-    VerificationFailure naming the first violated clause.  Pass `blown`
-    when the caller already holds `blown_adjacency(t, k)`.
+    residual_tol * ||A||_F * ||v|| for approximate ones; the first failing
+    vector in family order is named); the stacked family has full rank
+    (per family, exact integer rank when every seed vector is exact, an SVD
+    with a relative 1e-8 threshold otherwise); the largest predicted eigenvalue comes from
+    XM, is at least m*k^2 - 1 and matches the oracle maximum; and the
+    predicted multiset -- the families' eigenvalues -- matches the float
+    oracle pairwise within spectrum_tol.  Raises VerificationFailure naming
+    the first violated clause.  `blown`, when given, must be
+    `blown_adjacency(t, k)`: only the float oracle reads it.
 
-    The exact eigenvector clause is a proof, not a tolerance.  The integer
-    vectors go through float64 products A @ V, a chunk at a time, and A @ V -
-    V * diag(mu) must be exactly 0.  A chunk takes that route only when
-    (max_i sum_j |a_ij| + max |mu|) * max |v| < 2**53: then every entry,
+    The first two clauses never form a k^2 N-vector.  The proof chain:
+    - `blowup.reconcile` ties the graph built directly from the blown-up
+      tiling to blown_adjacency(t, k) = l_b (x) B + l_h (x) H + l_v (x) V
+      + I (x) D;
+    - by the mixed-product rule, if B w = beta w, H w = eta w, V w = nu w
+      and D w = delta w, then blown (x (x) w) = (E x) (x) w with E = beta
+      l_b + eta l_h + nu l_v + delta I, so E x = mu x makes x (x) w an
+      eigenvector for mu, with residual ||(E - mu) x|| * ||w||;
+    - tails of different families are orthogonal, so (x (x) w) . (x' (x) w')
+      = (x . x')(w . w') = 0 across families, and the stack's rank is the
+      sum of the families' ranks;
+    - rank(X (x) W) = rank X * rank W (Van Loan, "The ubiquitous Kronecker
+      product", J. Comput. Appl. Math. 123, 2000), for the N x N seed
+      stack X and the k^2-vector tails W of each family.
+
+    The exact eigenvector clause is a proof, not a tolerance.  A family's
+    integer seed vectors go through one float64 product E @ X, and E @ X -
+    X * diag(mu) must be exactly 0.  They take that route only when
+    (max_i sum_j |e_ij| + max |mu|) * max |x| < 2**53: then every entry,
     partial sum and difference is an integer below 2**53, so nothing
-    rounds, whatever order BLAS sums in.  A chunk past the bound is checked
-    vector by vector on the object array.
+    rounds, whatever order BLAS sums in.  Past the bound each vector is
+    checked on the object array.
     """
     families = build_families(t, k)
-    up_a = blown_adjacency(t, k) if blown is None else blown
-    # each clause's dense float and stacked copies are freed on return,
-    # before the float oracle allocates its own
-    max_residual = _max_residual(families, up_a, residual_tol)
-    total_rank = _basis_rank(families, up_a.shape[0])
+    d = graph.layers(t)
+    subs = substitution_set(k)
+    max_residual = _max_residual(families, d, subs, t.n_cells, residual_tol)
+    total_rank = _basis_rank(families, k * k * t.n_cells)
 
     # the families' own eigenvalues, in the concatenation order
     # predicted_spectrum uses, so the stable sort gives the same tuple
     predicted = tuple(
         sorted((v for fam in families for v in fam.eigenvalues), key=float)
     )
+    up_a = blown_adjacency(t, k) if blown is None else blown
     oracle = tuple(linalg.float_eigen(up_a))
 
     xm = families[3]

@@ -46,24 +46,29 @@ class BlockRowProfile:
     axis: Axis
 
 
-def layers(t: Tiling) -> LayerDecomposition:
-    """Split the rule-derived edges into block / row / column layers."""
+def _layer_masks(t: Tiling) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Boolean masks of the block, row and column layers, in that order."""
     idx = np.arange(t.n_cells)
     row, col, blk = idx // t.m, idx % t.m, np.array(t.block_of)
     same_row = row[:, None] == row[None, :]
     same_col = col[:, None] == col[None, :]
     same_blk = blk[:, None] == blk[None, :]
     off_diag = ~np.eye(t.n_cells, dtype=bool)
-    l_b = np.where(same_blk & off_diag, 1, 0).astype(object)
-    l_h = np.where(same_row & ~same_blk, 1, 0).astype(object)
-    l_v = np.where(same_col & ~same_blk, 1, 0).astype(object)
-    return LayerDecomposition(l_b, l_h, l_v)
+    return same_blk & off_diag, same_row & ~same_blk, same_col & ~same_blk
+
+
+def layers(t: Tiling) -> LayerDecomposition:
+    """Split the rule-derived edges into block / row / column layers."""
+    return LayerDecomposition(*(m.astype(np.int64).astype(object) for m in _layer_masks(t)))
 
 
 def adjacency(t: Tiling) -> np.ndarray:
-    """Adjacency matrix of the graph: sum of the three disjoint layers."""
-    d = layers(t)
-    return d.l_b + d.l_h + d.l_v
+    """Adjacency matrix of the graph: sum of the three disjoint layers.
+
+    Summed in int64 and converted to object once; the conversion yields
+    Python ints."""
+    l_b, l_h, l_v = _layer_masks(t)
+    return (l_b.astype(np.int64) + l_h + l_v).astype(object)
 
 
 def block_row_profile(t: Tiling, axis: Axis = "row") -> BlockRowProfile:

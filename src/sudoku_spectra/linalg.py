@@ -663,8 +663,8 @@ def integral_spectrum(a) -> list[tuple[int, int]] | None:
 #
 # Both eliminate mod 27-bit primes in int64, as the Hessenberg step does:
 # the pivot swap and the row update touch columns c.. only, and only rows
-# whose multiplier is nonzero mod p, so a sparse matrix such as a stacked
-# eigenvector family costs little more than its nonzeros.
+# whose multiplier is nonzero mod p, so a sparse matrix such as a stack of
+# seed eigenvectors costs little more than its nonzeros.
 #
 # `rank` eliminates mod one prime; fraction-free (Bareiss) elimination over
 # the integers decides only when that rank falls short of full.

@@ -9,7 +9,10 @@ sparse `linalg._rank_mod` is checked against, `hessenberg_charpoly_scalar`
 is the one-term-at-a-time recurrence the table recurrence of
 `linalg._charpoly_mod` must reproduce, and
 `substitute_template` builds the blow-up symbol by symbol as the reference
-for `blown_adjacency`.
+for `blown_adjacency`, and `dense_max_residual` and `dense_basis_rank` are
+the eigenvector and rank clauses on the expanded k^2 N-vectors of the
+blow-up families, which the factor-level clauses of `eigenbasis.verify`
+must agree with.
 `spectrum_charpoly`, `poly_eval`, `trace` and `eigenvalue_sum` read a
 spectrum back as the quantities `char_poly` and the float oracle are
 checked against; `int_matrix` builds the tests' object-int matrices.
@@ -21,6 +24,7 @@ from math import gcd
 import numpy as np
 
 from sudoku_spectra.blowup import substitution_set
+from sudoku_spectra.eigenbasis import VerificationFailure
 from sudoku_spectra.graph import template
 from sudoku_spectra.linalg import (
     DimensionMismatch,
@@ -28,6 +32,7 @@ from sudoku_spectra.linalg import (
     _require_ints,
     _require_square,
     poly_mul,
+    rank,
     zeros_matrix,
 )
 
@@ -202,6 +207,63 @@ def substitute_template(t, k: int) -> np.ndarray:
         for j in range(n):
             out[i * kk:(i + 1) * kk, j * kk:(j + 1) * kk] = block[tmpl[i, j]]
     return out
+
+
+def dense_max_residual(families, up_a: np.ndarray, residual_tol: float) -> float:
+    """Eigenvector clause on the blown vectors themselves: raise
+    VerificationFailure unless each family vector v is an eigenvector of
+    up_a for its eigenvalue mu, exactly when v is exact and within
+    residual_tol * ||up_a||_F * ||v|| otherwise; return the largest residual
+    of the approximate ones.  The first failing vector in family order is
+    named.  Exact products run in int64 when (row sum + |mu|) * max |v| <
+    2**63, so nothing overflows, and on the object array otherwise."""
+    up_f = np.asarray(up_a, dtype=float)
+    up_i = np.asarray(up_a, dtype=np.int64)
+    row_sum = int(np.abs(up_i).sum(axis=1).max())
+    fro = np.linalg.norm(up_f)
+    max_residual = 0.0
+    for fam in families:
+        for vec, mu, exact in zip(fam.vectors, fam.eigenvalues, fam.exact):
+            if exact:
+                if (row_sum + abs(mu)) * int(np.abs(vec).max()) < 2**63:
+                    v = vec.astype(np.int64)
+                    ok = not np.any(up_i @ v != mu * v)
+                else:
+                    ok = not np.any(up_a @ vec != mu * vec)
+                if not ok:
+                    raise VerificationFailure(
+                        "eigenvector-residual",
+                        f"{fam.kind} vector for eigenvalue {mu} is not exact",
+                    )
+                continue
+            vf = np.asarray(vec, dtype=float)
+            res = float(np.linalg.norm(up_f @ vf - mu * vf))
+            allowed = residual_tol * fro * float(np.linalg.norm(vf))
+            if res > allowed:
+                raise VerificationFailure(
+                    "eigenvector-residual",
+                    f"{fam.kind} eigenvalue {mu}: residual {res:.3e} > {allowed:.3e}",
+                )
+            max_residual = max(max_residual, res)
+    return max_residual
+
+
+def dense_basis_rank(families, dim: int) -> int:
+    """Rank clause on the stacked blown vectors: raise VerificationFailure
+    unless there are dim of them with rank dim (exact rank when every
+    vector is exact, an SVD with a relative 1e-8 threshold otherwise);
+    returns the rank."""
+    stacked = [vec for fam in families for vec in fam.vectors]
+    if len(stacked) != dim:
+        raise VerificationFailure("basis-rank", f"{len(stacked)} vectors for dimension {dim}")
+    if all(all(fam.exact) for fam in families):
+        total_rank = rank(np.array(stacked, dtype=object))
+    else:
+        sing = np.linalg.svd(np.array(stacked, dtype=float), compute_uv=False)
+        total_rank = int(np.sum(sing > 1e-8 * sing[0]))
+    if total_rank != dim:
+        raise VerificationFailure("basis-rank", f"rank {total_rank} != {dim}")
+    return total_rank
 
 
 def spectrum_charpoly(s) -> tuple[int, ...]:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sudoku_spectra import eigenbasis as eigenbasis_mod
 from sudoku_spectra import linalg as la
-from sudoku_spectra.blowup import blown_adjacency
+from sudoku_spectra.blowup import blown_adjacency, substitution_set
 from sudoku_spectra.eigenbasis import (
     VerificationFailure,
     blowup_is_integral,
@@ -22,7 +22,7 @@ from sudoku_spectra.spectra import exact_spectrum
 from sudoku_spectra.tiling import classical_tiling, random_tiling, row_tiling
 
 from conftest import tilings
-from oracles import int_matrix
+from oracles import dense_basis_rank, dense_max_residual, int_matrix
 
 
 def test_kj_basis():
@@ -322,14 +322,32 @@ def test_build_families_k1_skips_empty_families(freeform4, monkeypatch):
     assert len(seen) == 1 and np.array_equal(seen[0], adjacency(freeform4))
 
 
-def _with_vector(families, kind, index, change):
-    """families with vector `index` of family `kind` replaced by change(vec)."""
+def _with_seed(families, kind, index, change):
+    """families with seed vector `index` of family `kind` (counted across
+    its spaces) replaced by change(vec)."""
     out = []
     for fam in families:
         if fam.kind == kind:
-            vectors = list(fam.vectors)
-            vectors[index] = change(vectors[index].copy())
-            fam = dataclasses.replace(fam, vectors=tuple(vectors))
+            spaces, pos = [], 0
+            for space in fam.spaces:
+                vectors = list(space.vectors)
+                if pos <= index < pos + len(vectors):
+                    vectors[index - pos] = change(vectors[index - pos].copy())
+                pos += len(vectors)
+                spaces.append(dataclasses.replace(space, vectors=tuple(vectors)))
+            fam = dataclasses.replace(fam, spaces=tuple(spaces))
+        out.append(fam)
+    return tuple(out)
+
+
+def _with_tail(families, kind, index, change):
+    """families with tail `index` of family `kind` replaced by change(w)."""
+    out = []
+    for fam in families:
+        if fam.kind == kind:
+            tails = list(fam.tails)
+            tails[index] = change(tails[index].copy())
+            fam = dataclasses.replace(fam, tails=tuple(tails))
         out.append(fam)
     return tuple(out)
 
@@ -344,14 +362,35 @@ def _verify_with(monkeypatch, t, k, families, **kwargs):
     return verify(t, k, **kwargs)
 
 
+def _seed_count(fam):
+    return sum(s.dim for s in fam.spaces)
+
+
+def _xe_off_by_one_fails_only_through_tail(monkeypatch, families, index):
+    # XE's seed operator is -I, so every vector is an XE seed: XE seed
+    # `index` off by one still verifies, and XE breaks only through its tail
+    t = classical_tiling(2)
+    rep = _verify_with(monkeypatch, t, 2, _with_seed(families, "XE", index, _off_by_one))
+    assert rep.total_rank == 64 and rep.max_residual == 0.0
+    with pytest.raises(VerificationFailure,
+                       match=r"^eigenvector-residual: XE tail 0: B w != 0 w$"):
+        _verify_with(monkeypatch, t, 2, _with_tail(families, "XE", 0, _off_by_one))
+
+
 @pytest.mark.parametrize("kind, index, mu", [
     ("XV", 0, -5), ("XH", 12, 3), ("XE", 7, -1), ("XM", 13, 15), ("XM", 15, 23),
 ])
 def test_exact_vector_off_by_one_fails(kind, index, mu, monkeypatch):
+    # at k = 2 each family has one tail, so seed `index` is blown vector `index`
     t = classical_tiling(2)
     families = build_families(t, 2)
     assert all(all(fam.exact) for fam in families)
-    bad = _with_vector(families, kind, index, _off_by_one)
+    fam = next(f for f in families if f.kind == kind)
+    assert fam.eigenvalues[index] == mu
+    if kind == "XE":
+        _xe_off_by_one_fails_only_through_tail(monkeypatch, families, index)
+        return
+    bad = _with_seed(families, kind, index, _off_by_one)
     with pytest.raises(VerificationFailure) as info:
         _verify_with(monkeypatch, t, 2, bad)
     assert info.value.clause == "eigenvector-residual"
@@ -360,14 +399,16 @@ def test_exact_vector_off_by_one_fails(kind, index, mu, monkeypatch):
 
 @pytest.mark.parametrize("index", [5, 13, 47, 61])
 def test_exact_failure_names_vector_past_first_chunk(index, monkeypatch):
-    # eight chunks of eight: the failing vector's position is chunk start
-    # plus its place in the chunk
-    monkeypatch.setattr(eigenbasis_mod, "_CHUNK", 8)
+    # the failing seed vector sits past the first space of its family, or
+    # in a later family: its family and eigenvalue are still the ones named
     t = classical_tiling(2)
-    families = build_families(t, 2)  # four families of 16
+    families = build_families(t, 2)  # four families of 16, one tail each
     fam = families[index // 16]
     mu = fam.eigenvalues[index % 16]
-    bad = _with_vector(families, fam.kind, index % 16, _off_by_one)
+    if fam.kind == "XE":
+        _xe_off_by_one_fails_only_through_tail(monkeypatch, families, index % 16)
+        return
+    bad = _with_seed(families, fam.kind, index % 16, _off_by_one)
     with pytest.raises(VerificationFailure, match=rf"^eigenvector-residual: {fam.kind} vector "
                        rf"for eigenvalue {mu} is not exact$"):
         _verify_with(monkeypatch, t, 2, bad)
@@ -384,38 +425,207 @@ def test_float64_bound_counts_the_eigenvalue():
 
 @pytest.mark.parametrize("scale", [2**50, 2**60, 2**200])
 def test_scaled_exact_vector_takes_object_fallback(scale, monkeypatch):
-    # the blown classical n=2 matrix has row sums 23, so a vector scaled
-    # past 2**53 / 46 fails the float64 bound; at 2**60 and beyond, float64
-    # could not even hold the entries of the vector off by one
+    # XM's seed operator 4 l_b + 2 l_h + 2 l_v + 3 I on classical n=2 has
+    # row sums 23, so a seed vector scaled past 2**53 / 46 fails the
+    # float64 bound; at 2**60 and beyond, float64 could not even hold the
+    # entries of the vector off by one
     t = classical_tiling(2)
     families = build_families(t, 2)
     assert families[3].eigenvalues[15] == 23
-    scaled = _with_vector(families, "XM", 15, lambda v: v * scale)
+    scaled = _with_seed(families, "XM", 15, lambda v: v * scale)
     assert not eigenbasis_mod._fits_float64(23, 23, scale)
     rep = _verify_with(monkeypatch, t, 2, scaled)
     assert rep.total_rank == 64 and rep.max_residual == 0.0
-    bad = _with_vector(families, "XM", 15, lambda v: _off_by_one(v * scale))
+    bad = _with_seed(families, "XM", 15, lambda v: _off_by_one(v * scale))
     with pytest.raises(VerificationFailure, match="XM vector for eigenvalue 23 is not exact"):
         _verify_with(monkeypatch, t, 2, bad)
 
 
 @pytest.mark.parametrize("kind, index, tol, message", [
-    ("XE", 0, 1e-8, "XE vector for eigenvalue -1 is not exact"),
+    pytest.param("XE", 0, 1e-8, "XE tail 0: B w != 0 w", id="XE-tail-0-1e-08"),
     ("XH", 2, 1e-8, "XH vector for eigenvalue -3 is not exact"),
     # an approximate vector ahead of the broken exact one fails first
     ("XE", 0, 0.0, "XV eigenvalue -3.8"),
     ("XV", 2, 0.0, "XV eigenvalue -3.8"),
 ])
 def test_first_failure_in_family_order(kind, index, tol, message, monkeypatch):
-    # random_tiling(3, 1) mixes approximate and exact vectors in XV and XH
+    # random_tiling(3, 1) mixes approximate and exact seeds in XV and XH.
+    # Every vector is an XE seed, so XE is broken through its tail
     t = random_tiling(3, 1)
     families = build_families(t, 2)
     fam = next(f for f in families if f.kind == kind)
     assert fam.exact[index] and not families[0].exact[0]
-    bad = _with_vector(families, kind, index, _off_by_one)
+    change = _with_tail if kind == "XE" else _with_seed
+    bad = change(families, kind, index, _off_by_one)
     with pytest.raises(VerificationFailure) as info:
         _verify_with(monkeypatch, t, 2, bad, residual_tol=tol)
     assert str(info.value).startswith(f"eigenvector-residual: {message}")
+
+
+def _patched_table(monkeypatch, kind, **changes):
+    """Patch `_family_table` so family `kind` gets a wrong coefficient
+    tuple or eigenvalue map."""
+    real = eigenbasis_mod._family_table
+
+    def table(t, k):
+        rows = []
+        for row in real(t, k):
+            if row[0] == kind:
+                name, seed, tails, coefficients, to_blown = row
+                row = (name, seed, tails, changes.get("coefficients", coefficients),
+                       changes.get("to_blown", to_blown))
+            rows.append(row)
+        return tuple(rows)
+
+    monkeypatch.setattr(eigenbasis_mod, "_family_table", table)
+
+
+def test_wrong_tail_coefficient_fails(monkeypatch):
+    # XV's tails 1_k (x) y have V w = k w, not (k + 1) w
+    _patched_table(monkeypatch, "XV", coefficients=(0, 0, 3, -1))
+    with pytest.raises(VerificationFailure,
+                       match=r"^eigenvector-residual: XV tail 0: V w != 3 w$"):
+        verify(classical_tiling(2), 2)
+
+
+def test_wrong_eigenvalue_map_fails(monkeypatch):
+    # lam * k instead of lam * k - 1: l_v's smallest eigenvalue -2 maps to -4
+    _patched_table(monkeypatch, "XV", to_blown=lambda lam: lam * 2)
+    with pytest.raises(VerificationFailure,
+                       match=r"^eigenvector-residual: XV vector for eigenvalue -4 is not exact$"):
+        verify(classical_tiling(2), 2)
+
+
+def test_non_orthogonal_tails_fail(monkeypatch):
+    # XH replaced by a copy of XV: every clause before the rank holds, but
+    # the two families share their tails, so the stack repeats XV
+    t = classical_tiling(2)
+    xv, _, xe, xm = build_families(t, 2)
+    families = (xv, dataclasses.replace(xv, kind="XH"), xe, xm)
+    with pytest.raises(VerificationFailure,
+                       match=r"^basis-rank: XV and XH tails are not orthogonal$"):
+        _verify_with(monkeypatch, t, 2, families)
+    with pytest.raises(VerificationFailure, match=r"^basis-rank: rank 48 != 64$"):
+        dense_basis_rank(families, 64)
+
+
+_MUTATIONS = ("none", "seed-off-by-one", "seed-duplicated", "eigenvalue-shifted",
+              "tail-duplicated", "tails-shared")
+
+
+def _mutate(families, mutation, i, j):
+    """families under `mutation`, at positions chosen by i and j, or None
+    where it does not apply.  Each mutation leaves the tails' coefficients
+    true, so the factor-level and dense clauses must agree on it."""
+    present = [f for f in families if len(f)]
+    fam = present[i % len(present)]
+    n = _seed_count(fam)
+    if mutation == "none":
+        return families
+    if mutation == "seed-off-by-one":
+        exact = [x for x in range(n) if fam.exact[x * len(fam.tails)]]
+        if not exact:
+            return None
+        return _with_seed(families, fam.kind, exact[j % len(exact)], _off_by_one)
+    if mutation == "seed-duplicated":
+        # within one eigenspace, so only the rank can notice
+        starts, pos = [], 0
+        for space in fam.spaces:
+            if space.dim > 1:
+                starts.append((pos, space))
+            pos += space.dim
+        if not starts:
+            return None
+        pos, space = starts[j % len(starts)]
+        src = (j // len(starts)) % space.dim
+        dst = (src + 1) % space.dim
+        return _with_seed(families, fam.kind, pos + dst, lambda v: space.vectors[src].copy())
+    if mutation == "eigenvalue-shifted":
+        spaces = list(fam.spaces)
+        s = spaces[j % len(spaces)]
+        spaces[j % len(spaces)] = dataclasses.replace(s, value=s.value + 1)
+        mutated = dataclasses.replace(fam, spaces=tuple(spaces))
+        return tuple(mutated if f is fam else f for f in families)
+    if mutation == "tail-duplicated":
+        w = len(fam.tails)
+        if w < 2:
+            return None
+        return _with_tail(families, fam.kind, (j % (w - 1)) + 1, lambda v: fam.tails[0].copy())
+    # tails-shared: XH becomes a copy of XV
+    xv, xh = families[0], families[1]
+    if not len(xv):
+        return None
+    return (xv, dataclasses.replace(xv, kind="XH")) + tuple(families[2:])
+
+
+def _clauses(run):
+    """(clause or "ok", rank) of the eigenvector and rank clauses."""
+    try:
+        return "ok", run()
+    except VerificationFailure as exc:
+        return exc.clause, None
+
+
+@given(tilings(min_m=1, max_m=4), st.integers(1, 3), st.sampled_from(_MUTATIONS),
+       st.integers(0, 10**6), st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_factor_clauses_match_dense_reference(t, k, mutation, i, j):
+    families = _mutate(build_families(t, k), mutation, i, j)
+    assume(families is not None)
+    d = layers(t)
+    subs = substitution_set(k)
+    n, dim = t.n_cells, k * k * t.n_cells
+    up = blown_adjacency(t, k)
+
+    def factor():
+        eigenbasis_mod._max_residual(families, d, subs, n, 1e-8)
+        return eigenbasis_mod._basis_rank(families, dim)
+
+    def dense():
+        dense_max_residual(families, up, 1e-8)
+        return dense_basis_rank(families, dim)
+
+    assert _clauses(factor) == _clauses(dense)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_perturbed_residual_matches_dense(k):
+    # an approximate XM seed moved by 1e-9 along a unit vector keeps its
+    # residual under the bound but far above rounding, so the factor-level
+    # residual ||(E - mu) x|| * max ||w|| must equal the dense one
+    t = random_tiling(3, 1)
+
+    def nudge(x):
+        x[0] += 1e-9
+        return x
+
+    families = _with_seed(build_families(t, k), "XM", 0, nudge)
+    assert not families[3].exact[0]
+    factor = eigenbasis_mod._max_residual(families, layers(t), substitution_set(k),
+                                          t.n_cells, 1e-8)
+    dense = dense_max_residual(families, blown_adjacency(t, k), 1e-8)
+    assert dense > 1e-10
+    assert factor == pytest.approx(dense, rel=1e-6)
+
+
+@pytest.mark.parametrize("t, k", [(classical_tiling(2), 3), (random_tiling(4, 2), 2),
+                                  (random_tiling(9, 1), 3)],
+                         ids=["classical2-k3", "random4-2-k2", "random9-1-k3"])
+def test_blown_frobenius_matches_dense(t, k):
+    # the factor-level norm the residual bound scales with
+    dense = np.linalg.norm(np.asarray(blown_adjacency(t, k), dtype=float))
+    factor = eigenbasis_mod._blown_frobenius(layers(t), substitution_set(k), t.n_cells)
+    assert factor == pytest.approx(dense, rel=1e-15)
+
+
+def test_duplicated_tail_fails_rank():
+    # XE's second tail made equal to its first: rank(W_XE) is 3 of 4, so the
+    # blown stack loses N = 16 vectors
+    families = build_families(classical_tiling(2), 3)
+    first = families[2].tails[0]
+    doubled = _with_tail(families, "XE", 1, lambda w: first.copy())
+    with pytest.raises(VerificationFailure, match=r"^basis-rank: rank 128 != 144$"):
+        eigenbasis_mod._basis_rank(doubled, 144)
 
 
 @pytest.mark.parametrize("t", [classical_tiling(3), random_tiling(9, 1)],
@@ -435,10 +645,10 @@ def test_build_families_kernels_are_modular(monkeypatch, t):
                                   (random_tiling(4, 2), 2)],
                          ids=["classical2-k2", "random3-1-k3", "random4-2-k2"])
 def test_build_families_match_vectorwise_kron(t, k):
-    # one product per family gives kron(x, w) for each seed vector x and
-    # tail w, x-major and tail-minor, with the same entry types
+    # the expanded vectors are kron(x, w) for each seed vector x and tail
+    # w, x-major and tail-minor, with the same entry types
     families = build_families(t, k)
-    for kind, seed, tails, _ in eigenbasis_mod._family_table(t, k):
+    for kind, seed, tails, _, _ in eigenbasis_mod._family_table(t, k):
         fam = next(f for f in families if f.kind == kind)
         if seed is None:
             xs = [la.unit_vector(t.n_cells, i) for i in range(t.n_cells)] if tails else []
@@ -452,21 +662,23 @@ def test_build_families_match_vectorwise_kron(t, k):
 
 
 def test_basis_rank_falls_back_when_short_mod_p(monkeypatch):
-    # a vector scaled by the rank prime is 0 mod p but keeps the rational
-    # rank full: the short modular rank hands over to linalg.rank
+    # a seed vector scaled by the rank prime is 0 mod p but keeps the
+    # rational rank full: the short modular rank of XM's 16 x 16 seed stack
+    # hands over to linalg.rank
     t = classical_tiling(2)
     p = la._primes(1)[0]
-    families = _with_vector(build_families(t, 2), "XM", 15, lambda v: v * p)
+    families = _with_seed(build_families(t, 2), "XM", 15, lambda v: v * p)
     calls = []
     real = la.rank
     monkeypatch.setattr(la, "rank", lambda mat: calls.append(mat.shape) or real(mat))
     assert eigenbasis_mod._basis_rank(families, 64) == 64
-    assert calls == [(64, 64)]
+    assert calls == [(16, 16)]
 
 
 def test_basis_rank_deficient_stack_fails():
     t = classical_tiling(2)
     families = build_families(t, 2)
-    doubled = _with_vector(families, "XE", 3, lambda v: families[2].vectors[2].copy())
+    xe_seeds = families[2].spaces[0].vectors
+    doubled = _with_seed(families, "XE", 3, lambda v: xe_seeds[2].copy())
     with pytest.raises(VerificationFailure, match=r"^basis-rank: rank 63 != 64$"):
         eigenbasis_mod._basis_rank(doubled, 64)
