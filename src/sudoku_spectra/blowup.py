@@ -57,16 +57,25 @@ def substitution_set(k: int) -> SubstitutionSet:
 
 
 def blown_adjacency(t: Tiling, k: int) -> np.ndarray:
-    """Adjacency of the k-fold blow-up, subsquare vertex order.
+    """Adjacency of the k-fold blow-up, subsquare vertex order, in int64.
 
-    The 0/1 sum is formed in int64 from the layer masks and converted to
-    object once; the conversion yields Python ints."""
+    The Kronecker sum is accumulated in place: each layer's mask picks the
+    N x N blocks (c, c') that gain its k^2 x k^2 substitution matrix, so no
+    k^2 N x k^2 N temporary is formed.  The result stays int64: its readers
+    (`reconcile`, the float oracle, the matrix file) compare, convert and
+    print it without an object copy, and the exact routines convert int64
+    input to Python ints themselves."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     l_b, l_h, l_v = graph._layer_masks(t)
     s = substitution_set(k)
-    blocks = ((l_b, s.b), (l_h, s.h), (l_v, s.v), (np.eye(t.n_cells, dtype=bool), s.d))
-    return sum(np.kron(mask, sub.astype(np.int64)) for mask, sub in blocks).astype(object)
+    n, kk = t.n_cells, k * k
+    out = np.zeros((n, kk, n, kk), dtype=np.int64)
+    # block (c, c') of the Kronecker sum, as a view of the result
+    blocks_of = out.transpose(0, 2, 1, 3)
+    for mask, sub in ((l_b, s.b), (l_h, s.h), (l_v, s.v), (np.eye(n, dtype=bool), s.d)):
+        blocks_of[mask] += sub.astype(np.int64)
+    return out.reshape(n * kk, n * kk)
 
 
 def subsquare_permutation(m: int, k: int) -> np.ndarray:
@@ -93,10 +102,10 @@ def reconcile(t: Tiling, k: int, blown: np.ndarray) -> bool:
 
     Conjugates the directly built adjacency of the scaled tiling by the
     subsquare permutation and compares with `blown`, the Kronecker-route
-    `blown_adjacency(t, k)`, bit for bit.
+    `blown_adjacency(t, k)`, entry for entry, both in int64.
     This holds for every tiling; False signals an implementation bug.
     """
-    direct = graph.adjacency(blow_up_tiling(t, k))
+    direct = graph._adjacency_int64(blow_up_tiling(t, k))
     perm = subsquare_permutation(t.m, k)
     reordered = direct[np.ix_(perm, perm)]
     return bool(np.array_equal(reordered, blown))

@@ -13,9 +13,15 @@ N x N seed's eigenvector x and a k^2-vector w, one family per row of
 with lam the seed eigenvalue of x and y, z in ker(J_k).  With N cells in
 the original grid the families have sizes (k-1)N, (k-1)N, (k-1)^2 N and N,
 totalling k^2 N, and they are jointly independent; the largest eigenvalue
-always comes from XM.  Eigenvector ingredients with integer eigenvalues
-are exact (integer vectors from rational kernels); non-integer eigenpairs
-come from the floating-point oracle and are flagged approximate.
+always comes from XM.  `eigenvector_basis` gives each seed's eigenspaces
+(seeds up to 512 x 512, or larger ones proven integral): the integer eigenvalues and their exact integer
+bases come from `linalg.integer_eigenspaces`, where the characteristic
+polynomial mod one prime proposes candidates in the Gershgorin range and
+exact rational kernels decide them, so floats never decide which vectors
+are exact.  The non-integer eigenpairs live in the orthogonal complement
+of the exact vectors; `eigh` on that complement gives them, one vector
+each, flagged approximate and held to the float oracle's residual
+contract.
 
 A family is kept in factored form, its seed eigenspaces and its tails w,
 and `verify` proves the basis on those factors, never on the k^2 N blown
@@ -44,7 +50,7 @@ import numpy as np
 
 from . import graph, linalg, spectra
 from .blowup import blown_adjacency, substitution_set
-from .linalg import ConvergenceError, all_ones, identity, kron, unit_vector
+from .linalg import all_ones, identity, kron, unit_vector
 from .tiling import Tiling
 
 __all__ = [
@@ -157,64 +163,28 @@ def kj_basis(k: int) -> list[np.ndarray]:
     return out
 
 
-def _match_residual_indices(w: np.ndarray, spectrum, atol: float = 1e-6) -> list[int]:
-    """Indices of the float eigenvalues not accounted for by integer ones.
-
-    Both lists are ascending and the integer multiset is a sub-multiset of
-    the true spectrum, so a greedy sweep pairs them off.  The sweep is
-    trusted only once `linalg.has_root_near` has shown, exactly, that the
-    residual polynomial has no root within 2 * atol of any integer
-    eigenvalue lam: then a float eigenvalue within atol of lam, computed
-    with an error below atol, is lam itself.  ConvergenceError names lam
-    otherwise.
-    """
-    den = round(1 / (2 * atol))
-    for lam, _ in spectrum.integer_part:
-        if linalg.has_root_near(spectrum.residual, lam, den):
-            raise ConvergenceError(
-                f"a non-integer eigenvalue lies within {2 * atol:g} of eigenvalue {lam}; "
-                "the float eigenvalues cannot be paired"
-            )
-    ints = [lam for lam, mult in spectrum.integer_part for _ in range(mult)]
-    leftover = []
-    pos = 0
-    for idx, val in enumerate(w):
-        if pos < len(ints) and abs(val - ints[pos]) <= atol:
-            pos += 1
-        else:
-            leftover.append(idx)
-    if pos != len(ints):
-        raise RuntimeError("exact integer eigenvalues not found in float spectrum")
-    return leftover
-
-
 def eigenvector_basis(a) -> list[EigenSpace]:
-    """Maximal independent eigenvector sets of a symmetric integer matrix.
+    """Maximal independent eigenvector sets of a symmetric integer matrix,
+    ascending by eigenvalue.
 
-    Every integer eigenvalue gets an exact rational-kernel basis; if the
-    spectrum has a non-integer part, those eigenpairs come from the float
-    oracle (one vector each) and are flagged approximate.  The union spans
-    the whole space.
+    Every integer eigenvalue gets its exact rational-kernel basis from
+    `linalg.integer_eigenspaces` (n <= 512, or any n with a spectrum proven
+    integral), which alone decides which
+    eigenvalues are exact.  The orthogonal complement of those vectors is
+    invariant under a and holds the non-integer eigenpairs; the float
+    oracle's `eigh` on it gives them, one vector each, flagged approximate
+    and held to its residual contract.  The union spans the whole space.
     """
     a = linalg._require_symmetric(a)
-    n = a.shape[0]
-    spectrum = spectra.exact_spectrum(a)
-    spaces = []
-    for lam, mult in spectrum.integer_part:
-        vecs = linalg.rational_kernel(a, lam)
-        if len(vecs) != mult:
-            raise RuntimeError(
-                f"eigenvalue {lam}: kernel dimension {len(vecs)} != multiplicity {mult}"
-            )
-        vecs = sorted(vecs, key=lambda v: tuple(v))
-        spaces.append(EigenSpace(lam, tuple(vecs), True))
-    if spectrum.residual_degree:
-        w, v = linalg._float_eigen_pairs(a)
-        for idx in _match_residual_indices(w, spectrum):
-            spaces.append(EigenSpace(float(w[idx]), (v[:, idx].copy(),), False))
+    spaces = [
+        EigenSpace(lam, tuple(sorted(vecs, key=tuple)), True)
+        for lam, vecs in linalg.integer_eigenspaces(a)
+    ]
+    exact = [x for s in spaces for x in s.vectors]
+    if len(exact) < a.shape[0]:
+        w, v = linalg._float_eigen_pairs(a, exact=exact)
+        spaces.extend(EigenSpace(float(lam), (v[:, i].copy(),), False) for i, lam in enumerate(w))
     spaces.sort(key=lambda s: (float(s.value), not s.exact))
-    if sum(s.dim for s in spaces) != n:
-        raise RuntimeError("eigenspaces do not span")
     return spaces
 
 

@@ -62,13 +62,21 @@ def layers(t: Tiling) -> LayerDecomposition:
     return LayerDecomposition(*(m.astype(np.int64).astype(object) for m in _layer_masks(t)))
 
 
+def _adjacency_int64(t: Tiling) -> np.ndarray:
+    """The adjacency matrix in int64: the sum of the three layer masks."""
+    l_b, l_h, l_v = _layer_masks(t)
+    adj = l_b.astype(np.int64)
+    adj += l_h
+    adj += l_v
+    return adj
+
+
 def adjacency(t: Tiling) -> np.ndarray:
     """Adjacency matrix of the graph: sum of the three disjoint layers.
 
     Summed in int64 and converted to object once; the conversion yields
     Python ints."""
-    l_b, l_h, l_v = _layer_masks(t)
-    return (l_b.astype(np.int64) + l_h + l_v).astype(object)
+    return _adjacency_int64(t).astype(object)
 
 
 def block_row_profile(t: Tiling, axis: Axis = "row") -> BlockRowProfile:

@@ -4,10 +4,18 @@ Matrices and vectors are numpy arrays with ``dtype=object`` holding Python
 ints only, so the usual numpy operators -- ``@``, ``+``, scalar ``*``,
 ``.T``, ``np.array_equal`` -- are exact and unbounded; shape errors surface
 as numpy's usual exceptions; `rank` and `rational_kernel` raise TypeError
-on any other entry.  Floating point enters through the eigenvalue oracle
-`float_eigen`, an independent cross-check of the exact path, and through
+on any other entry; an int64 array is accepted as well (the blown-up
+adjacency is one) and converted where exact arithmetic needs Python ints.
+Floating point enters through the eigenvalue oracle `float_eigen`, an
+independent cross-check of the exact path, whose pair routine also gives
+the approximate eigenvectors orthogonal to exact ones, and through
 `integral_spectrum`, whose float eigenvalues only propose the candidates
 that its exact annihilation certificate then proves or rejects.
+
+`integer_eigenspaces` finds every integer eigenvalue with its eigenspace:
+the characteristic polynomial mod one prime, evaluated at every integer
+within the Gershgorin bound, proposes the candidates, and an exact kernel
+decides each one.
 
 `rational_kernel` is multimodular: Gauss-Jordan elimination mod 27-bit
 primes in int64, CRT and rational reconstruction after each prime, and a
@@ -41,10 +49,10 @@ __all__ = [
     "gershgorin_bound",
     "char_poly",
     "integer_roots",
-    "has_root_near",
     "integral_spectrum",
     "poly_mul",
     "rational_kernel",
+    "integer_eigenspaces",
     "rank",
     "float_eigen",
 ]
@@ -55,8 +63,7 @@ class DimensionMismatch(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """The floating-point eigensolver missed its residual target, or its
-    eigenvalues are too close to tell apart."""
+    """The floating-point eigensolver missed its residual target."""
 
 
 class CertificateError(ArithmeticError):
@@ -110,7 +117,10 @@ def gershgorin_bound(a) -> int:
 
 
 def _require_square(a) -> np.ndarray:
-    a = np.asarray(a, dtype=object)
+    """a as a square array: an int64 array stays int64, so vectorized
+    checks on it stay cheap; anything else becomes object."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.int64):
+        a = np.asarray(a, dtype=object)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"square matrix required, got shape {a.shape}")
     return a
@@ -419,94 +429,6 @@ def integer_roots(
         big = [r for r in _sieved_root_candidates(coeffs, cap) if abs(r) > scan]
         coeffs = _deflate_roots(coeffs, big, roots)
     return sorted(roots), tuple(coeffs)
-
-
-def _sturm_chain(p) -> list[list[int]]:
-    """Sturm sequence p, p', -rem, ... of an integer polynomial (ascending
-    coefficients), each remainder scaled by a positive integer.
-
-    The pseudo-remainder multiplies by |lc| instead of lc and each member is
-    divided by its (positive) content, so the chain stays in the integers
-    and every member is a positive multiple of the classical one: the sign
-    variations at any point are unchanged.
-    """
-    chain = [list(p), [i * c for i, c in enumerate(p)][1:]]
-    while len(chain[-1]) > 1:
-        a, b = chain[-2][:], chain[-1]
-        db, lc = len(b) - 1, b[-1]
-        scale, sign = abs(lc), 1 if lc > 0 else -1
-        while len(a) > db:
-            head, shift = a[-1], len(a) - 1 - db
-            a = [scale * x for x in a]
-            for i, c in enumerate(b):
-                a[shift + i] -= sign * head * c
-            while len(a) > 1 and a[-1] == 0:
-                a.pop()
-        if not any(a):
-            break
-        g = 0
-        for c in a:
-            g = gcd(g, c)
-        chain.append([-c // g for c in a])
-    return chain
-
-
-def _sign_variations(chain, num: int, den_powers) -> int:
-    """Sign changes along the chain at x = num / den_powers[1]."""
-    signs = []
-    for poly in chain:
-        value = _value_at(poly, num, den_powers[1], den_powers)
-        if value:
-            signs.append(value > 0)
-    return sum(x != y for x, y in zip(signs, signs[1:]))
-
-
-def _value_at(poly, num: int, den: int, den_powers) -> int:
-    """den**deg * poly(num / den), which has the sign of poly(num / den)
-    (den > 0); den_powers[k] == den**k."""
-    value = 0
-    for k, c in enumerate(reversed(poly)):
-        value = value * num + c * den_powers[k]
-    return value
-
-
-def _taylor_shift(coeffs: list[int], center: int) -> list[int]:
-    """Coefficients (ascending) of p(center + y) in y."""
-    out = list(coeffs)
-    for i in range(len(out) - 1):
-        for j in range(len(out) - 2, i - 1, -1):
-            out[j] += center * out[j + 1]
-    return out
-
-
-def has_root_near(p, center: int, den: int) -> bool:
-    """True iff the integer polynomial p (ascending coefficients) has a real
-    root x with |x - center| <= 1 / den; exact, integers throughout.
-
-    With y = x - center and p(center + y) = sum b_k y^k, the interval holds
-    no root when |b_0| den^d > sum_{k>=1} |b_k| den^(d-k), since then
-    |p(center + y)| >= |b_0| - sum |b_k| |y|^k > 0 for |y| <= 1 / den.  When
-    that bound cannot exclude the interval, Sturm's theorem counts the
-    distinct roots in it.
-    """
-    coeffs = [operator.index(c) for c in p]
-    if den < 1:
-        raise ValueError(f"den must be positive, got {den}")
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    if len(coeffs) < 2:
-        return not coeffs[0]  # the zero polynomial vanishes everywhere
-    d = len(coeffs) - 1
-    b = _taylor_shift(coeffs, center)
-    if abs(b[0]) * den**d > sum(abs(c) * den ** (d - k) for k, c in enumerate(b) if k):
-        return False
-    den_powers = [den**k for k in range(d + 1)]
-    lo, hi = center * den - 1, center * den + 1
-    if not _value_at(coeffs, lo, den, den_powers) or not _value_at(coeffs, hi, den, den_powers):
-        return True
-    # neither endpoint is a root, so V(lo) - V(hi) counts the roots inside
-    chain = _sturm_chain(coeffs)
-    return _sign_variations(chain, lo, den_powers) > _sign_variations(chain, hi, den_powers)
 
 
 # ---------------------------------------------------------------------------
@@ -955,13 +877,99 @@ def rational_kernel(a, lam: int) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
+# integer eigenspaces: one prime proposes, exact kernels decide
+#
+# An integer eigenvalue lam of a is a root of chi = det(xI - a), so
+# chi(lam) = 0 mod p for every prime p, and every integer eigenvalue lies
+# in [-rho, rho], rho the Gershgorin bound.  Evaluating chi mod one prime at
+# each integer of that range therefore proposes all of them, together with
+# the rare false candidates, p | chi(lam) != 0.  `rational_kernel` decides
+# each candidate exactly: a false one has an empty kernel, and a symmetric
+# a is diagonalizable, so the kernel's dimension is the multiplicity.  No
+# coefficient bound, CRT or root extraction is needed.  Past n = 512, where
+# chi mod p is no longer exact in int64, only a spectrum that annihilation
+# proves integral (`integral_spectrum`, any n) supplies the candidates.
+
+# chi mod p comes from the first table prime; `_charpoly_mod`'s int64 sums
+# are exact for n <= 512 there
+_SCAN_PRIME = _primes(1)[0]
+# the scan evaluates chi mod p at 2 rho + 1 integers, at most this many
+_EIGEN_SCAN_LIMIT = 1 << 22
+
+
+def integer_eigenspaces(a) -> list[tuple[int, list[np.ndarray]]]:
+    """(lam, basis of ker(a - lam I)) for every integer eigenvalue lam of a
+    symmetric integer matrix, ascending; bases as from `rational_kernel`.
+
+    chi = det(xI - a) mod one prime, Horner-evaluated at every integer of
+    [-rho, rho] (rho the Gershgorin bound), proposes the candidates, and
+    `rational_kernel` decides each: a false candidate gets an empty kernel,
+    and the dimension of a nonempty one is the multiplicity (see the
+    section comment).  Limits: n <= 512, unless `integral_spectrum` proves
+    the spectrum integral and so names the candidates (DimensionMismatch
+    otherwise), and a scan of at most _EIGEN_SCAN_LIMIT integers
+    (CandidateLimitError past it).
+    """
+    a = _require_ints(_require_symmetric(a))
+    n = a.shape[0]
+    if n <= 512:
+        candidates = _scanned_candidates(a) if n else []
+    else:
+        certified = integral_spectrum(a)
+        if certified is None:
+            raise DimensionMismatch(
+                f"integer_eigenspaces supports n <= 512 unless the spectrum is proven integral, "
+                f"got {n}"
+            )
+        candidates = [lam for lam, _ in certified]
+    out = []
+    for lam in candidates:
+        basis = rational_kernel(a, lam)
+        if basis:
+            out.append((lam, basis))
+    return out
+
+
+def _scanned_candidates(a: np.ndarray) -> list[int]:
+    """The integers lam of [-rho, rho] with chi(lam) = 0 mod _SCAN_PRIME,
+    ascending; a is n x n with 0 < n <= 512."""
+    rho = gershgorin_bound(a)
+    if 2 * rho + 1 > _EIGEN_SCAN_LIMIT:
+        raise CandidateLimitError(
+            f"integer_eigenspaces: {2 * rho + 1} integers in [-{rho}, {rho}] to scan, "
+            f"more than {_EIGEN_SCAN_LIMIT}"
+        )
+    p = _SCAN_PRIME
+    chi = _charpoly_mod((_for_residues(a) % p).astype(np.int64, copy=False), p)
+    x = np.arange(-rho, rho + 1, dtype=np.int64) % p
+    value = np.zeros_like(x)
+    for c in chi[::-1].tolist():  # each product is below p**2 < 2**63
+        value *= x
+        value += c
+        value %= p
+    return (np.flatnonzero(value == 0) - rho).tolist()
+
+
+# ---------------------------------------------------------------------------
 # floating-point oracle
 
 
-def _float_eigen_pairs(a, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def _float_eigen_pairs(a, tol: float = 1e-8, exact=()) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, ascending, and unit eigenvectors (columns) of a
+    symmetric integer matrix, each held to ||a v - lambda v|| <= tol *
+    ||a||_F (ConvergenceError otherwise).  Given `exact`, independent
+    eigenvectors of a, only the pairs of their orthogonal complement, which
+    a maps into itself: eigh of Q^T a Q, Q an orthonormal basis of the
+    complement (complete QR), with eigenvectors Q y.  An int64 matrix is
+    checked and converted without an object copy."""
     a = _require_symmetric(a)
-    af = np.asarray(a, dtype=float)
-    w, v = np.linalg.eigh(af)
+    af = a.astype(float)
+    if len(exact):
+        q = np.linalg.qr(np.array(exact, dtype=float).T, mode="complete")[0][:, len(exact):]
+        w, y = np.linalg.eigh(q.T @ af @ q)
+        v = q @ y
+    else:
+        w, v = np.linalg.eigh(af)
     fro = np.linalg.norm(af)
     resid = np.linalg.norm(af @ v - v * w, axis=0)
     if np.any(resid > tol * fro):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -88,6 +89,15 @@ def test_reconcile_cases(freeform4):
              (classical_tiling(2), 3), (row_tiling(2), 1), (row_tiling(2), 2)]
     for t, k in cases:
         assert reconcile(t, k, blown_adjacency(t, k))
+
+
+@pytest.mark.parametrize("change", ["flip", "double"])
+def test_reconcile_rejects_changed_entry(freeform4, change):
+    # bit for bit: a missing edge, and an edge counted twice
+    blown = blown_adjacency(freeform4, 2)
+    i, j = np.argwhere(blown == 1)[0]
+    blown[i, j] = blown[j, i] = 0 if change == "flip" else 2
+    assert not reconcile(freeform4, 2, blown)
 
 
 def test_template_substitution_equals_kron(freeform4):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -87,32 +88,60 @@ def _zero_plus_pendants(*cs):
     return int_matrix(rows)
 
 
+def _assert_approximate_pairs(a, spaces, expected):
+    # each approximate vector meets the residual contract against a, and a
+    # symmetric matrix has an eigenvalue within the residual of each value
+    a_f = np.asarray(a, dtype=float)
+    tol = 1e-8 * np.linalg.norm(a_f)
+    approx = sorted((sp for sp in spaces if not sp.exact), key=lambda sp: sp.value)
+    assert len(approx) == len(expected)
+    for sp, want in zip(approx, expected):
+        v = np.asarray(sp.vectors[0], dtype=float)
+        assert np.linalg.norm(a_f @ v - sp.value * v) <= tol * np.linalg.norm(v)
+        assert abs(sp.value - want) <= tol
+
+
 @pytest.mark.parametrize("c", [2 * 10**6, 666_667])
 def test_eigenvector_basis_refuses_ambiguous_pairing(c):
-    # -1/c = -5e-7 is within the 1e-6 pairing tolerance of the integer
-    # eigenvalue 0, so the float sweep cannot tell which of the two floats
-    # near 0 is the integer one.  -1/c = -1.5e-6 is outside it, but a float
-    # error below the tolerance could bring it in, so the guard covers twice
-    # the tolerance
+    # -1/c = -5e-7 and -1.5e-6 lie within a float pairing tolerance of the
+    # integer eigenvalue 0; the exact kernels alone decide that 0 is exact,
+    # so no float eigenvalue has to be paired with it
     a = _zero_plus_pendants(c)
     s = exact_spectrum(a)
     assert s.integer_part == ((0, 1),) and s.residual_degree == 2
-    with pytest.raises(la.ConvergenceError, match="eigenvalue 0"):
-        eigenvector_basis(a)
+    spaces = eigenvector_basis(a)
+    exact = [sp for sp in spaces if sp.exact]
+    assert [(sp.value, [v.tolist() for v in sp.vectors]) for sp in exact] == [(0, [[1, 0, 0]])]
+    root = math.sqrt(c * c + 4)
+    _assert_approximate_pairs(a, spaces, [-2 / (c + root), (c + root) / 2])
 
 
-def test_eigenvector_basis_pairs_roots_outside_the_guard(monkeypatch):
-    # -1/c near -3.3e-6 and -3.1e-6: outside twice the tolerance, though
-    # close enough that the Sturm count, not the Taylor bound, decides
-    calls = []
-    real = la._sturm_chain
-    monkeypatch.setattr(la, "_sturm_chain", lambda p: calls.append(p) or real(p))
-    spaces = eigenvector_basis(_zero_plus_pendants(300_000, 320_000))
-    assert len(calls) == 1
+def test_eigenvector_basis_pairs_roots_outside_the_guard():
+    # -1/c near -3.3e-6 and -3.1e-6, each close to the integer eigenvalue 0
+    a = _zero_plus_pendants(300_000, 320_000)
+    spaces = eigenvector_basis(a)
     exact = [sp for sp in spaces if sp.exact]
     assert [(sp.value, [v.tolist() for v in sp.vectors]) for sp in exact] == [(0, [[1, 0, 0, 0, 0]])]
     approx = sorted(sp.value for sp in spaces if not sp.exact)
     assert np.allclose(approx, [-1 / 300_000, -1 / 320_000, 300_000, 320_000], rtol=1e-6)
+    sums = [c + math.sqrt(c * c + 4) for c in (300_000, 320_000)]
+    _assert_approximate_pairs(a, spaces, sorted([-2 / x for x in sums] + [x / 2 for x in sums]))
+
+
+@given(tilings(min_m=1, max_m=9), st.integers(1, 3))
+@settings(max_examples=20, deadline=None)
+def test_eigenvector_basis_matches_exact_spectrum_on_seeds(t, k):
+    # the blow-up seeds l_h, l_v and M = k^2 l_b + k l_h + k l_v: the exact
+    # spaces are the integer part with its multiplicities, and there is one
+    # approximate vector per root of the residual polynomial
+    d = layers(t)
+    for seed in (d.l_h, d.l_v, k * k * d.l_b + k * d.l_h + k * d.l_v):
+        spectrum = exact_spectrum(seed)
+        spaces = eigenvector_basis(seed)
+        exact = [(s.value, s.dim) for s in spaces if s.exact]
+        assert tuple(exact) == spectrum.integer_part
+        assert sum(not s.exact for s in spaces) == spectrum.residual_degree
+        assert all(s.dim == 1 for s in spaces if not s.exact)
 
 
 def test_family_sizes_m2():
@@ -306,17 +335,15 @@ def test_blowup_is_integral_classical2(k):
 
 
 def test_build_families_k1_skips_empty_families(freeform4, monkeypatch):
-    # at k = 1 only XM has k^2-vectors, so only M's spectrum is computed
-    import sudoku_spectra.spectra as spectra_mod
-
-    real = spectra_mod.exact_spectrum
+    # at k = 1 only XM has k^2-vectors, so only M's eigenspaces are computed
+    real = la.integer_eigenspaces
     seen = []
 
     def recorded(a):
         seen.append(a)
         return real(a)
 
-    monkeypatch.setattr(spectra_mod, "exact_spectrum", recorded)
+    monkeypatch.setattr(la, "integer_eigenspaces", recorded)
     families = build_families(freeform4, 1)
     assert [len(f) for f in families] == [0, 0, 0, 16]
     assert len(seen) == 1 and np.array_equal(seen[0], adjacency(freeform4))

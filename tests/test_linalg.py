@@ -21,6 +21,7 @@ from oracles import (
 from sudoku_spectra import linalg as la
 from sudoku_spectra.graph import layers
 from sudoku_spectra.spectra import exact_spectrum
+from sudoku_spectra.tiling import classical_tiling
 
 
 def square_rows(n):
@@ -344,60 +345,6 @@ def test_integer_roots_reconstruction(roots_in):
 
 
 # ---------------------------------------------------------------------------
-# roots near a point: Taylor exclusion, then Sturm
-
-
-def _poly_from_rational_roots(roots, extra=(1,)):
-    """Ascending coefficients of prod (b x - a) * extra over (a, b) roots."""
-    poly = tuple(extra)
-    for a, b in roots:
-        poly = la.poly_mul(poly, (-a, b))
-    return poly
-
-
-@given(
-    st.lists(st.tuples(st.integers(-30, 30), st.sampled_from([1, 2, 3, 999_999, 10**6, 10**6 + 1])),
-             min_size=1, max_size=4),
-    st.sampled_from([(1,), (1, 0, 1), (2, 0, 1)]),  # no real roots
-    st.integers(-3, 3),
-    st.sampled_from([1, 3, 500_000, 10**6]),
-)
-@settings(max_examples=150, deadline=None)
-def test_has_root_near_matches_exact_roots(roots, extra, center, den):
-    poly = _poly_from_rational_roots(roots, extra)
-    expected = any(abs(Fraction(a, b) - center) <= Fraction(1, den) for a, b in roots)
-    assert la.has_root_near(poly, center, den) == expected
-
-
-@pytest.mark.parametrize("roots, expected", [
-    # roots 1/(2 * 10**6) and 1/10**6 + 1/10**12, inside and just outside
-    ([(1, 2 * 10**6), (10**6 + 1, 10**12)], True),
-    # roots 1.5e-6 and 1.6e-6, both outside
-    ([(3, 2 * 10**6), (16, 10**7)], False),
-    # a double root just inside, and one just outside
-    ([(-999_999, 10**12), (-999_999, 10**12)], True),
-    ([(-1_000_001, 10**12), (-1_000_001, 10**12)], False),
-])
-def test_has_root_near_sturm_decides(roots, expected, monkeypatch):
-    # roots this close to [-1e-6, 1e-6] defeat the Taylor bound, so each
-    # case is decided by the Sturm count
-    calls = []
-    real = la._sturm_chain
-    monkeypatch.setattr(la, "_sturm_chain", lambda p: calls.append(p) or real(p))
-    assert la.has_root_near(_poly_from_rational_roots(roots), 0, 10**6) == expected
-    assert len(calls) == 1
-
-
-def test_has_root_near_edge_cases():
-    assert la.has_root_near((5,), 0, 1) is False
-    assert la.has_root_near((0,), 0, 1) is True
-    assert la.has_root_near((0, 0, 1), 0, 10**6) is True  # root at the center
-    assert la.has_root_near((-1, 10**6), 0, 10**6) is True  # at an endpoint
-    with pytest.raises(ValueError):
-        la.has_root_near((1, 1), 0, 0)
-
-
-# ---------------------------------------------------------------------------
 # the annihilation certificate's primes
 
 
@@ -651,6 +598,78 @@ def test_kernel_prime_budget_covers_hadamard(rows):
     assert product > h * (2 * h * h + 1)
 
 
+# ---------------------------------------------------------------------------
+# integer eigenspaces: one prime proposes, exact kernels decide
+
+
+@given(st.integers(1, 7).flatmap(square_rows))
+@settings(max_examples=100, deadline=None)
+def test_integer_eigenspaces_match_exact_spectrum(rows):
+    a = int_matrix(rows)
+    a = a + a.T
+    got = la.integer_eigenspaces(a)
+    assert [(lam, len(basis)) for lam, basis in got] == list(exact_spectrum(a).integer_part)
+    for lam, basis in got:
+        assert [v.tolist() for v in basis] == [v.tolist() for v in la.rational_kernel(a, lam)]
+
+
+def test_integer_eigenspaces_false_candidate(monkeypatch):
+    # l_h of classical n=2 has eigenvalues -2, 0, 2.  Mod 3, 1 = -2 and
+    # -1 = 2 are roots of chi as well: false candidates, whose kernels are
+    # empty, and the answer is unchanged
+    a = layers(classical_tiling(2)).l_h
+    expected = la.integer_eigenspaces(a)
+    kernels = []
+    real = la.rational_kernel
+
+    def recorded(mat, lam):
+        kernels.append((lam, len(real(mat, lam))))
+        return real(mat, lam)
+
+    monkeypatch.setattr(la, "_SCAN_PRIME", 3)
+    monkeypatch.setattr(la, "rational_kernel", recorded)
+    got = la.integer_eigenspaces(a)
+    assert kernels == [(-2, 4), (-1, 0), (0, 8), (1, 0), (2, 4)]
+    assert [(lam, [v.tolist() for v in basis]) for lam, basis in got] == \
+        [(lam, [v.tolist() for v in basis]) for lam, basis in expected]
+
+
+def test_integer_eigenspaces_scan_limit(capsys):
+    # [[rho]] scans 2 rho + 1 integers: one under the limit and one past it
+    from sudoku_spectra import cli
+
+    rho = la._EIGEN_SCAN_LIMIT // 2 - 1
+    got = la.integer_eigenspaces(int_matrix([[rho]]))
+    assert [(lam, [v.tolist() for v in basis]) for lam, basis in got] == [(rho, [[1]])]
+    past = int_matrix([[rho + 1]])
+    with pytest.raises(la.CandidateLimitError, match=f"more than {la._EIGEN_SCAN_LIMIT}"):
+        la.integer_eigenspaces(past)
+    assert cli.run_guarded(lambda args: la.integer_eigenspaces(past), None) == 3
+    assert "compute error: integer_eigenspaces:" in capsys.readouterr().err
+
+
+def test_integer_eigenspaces_size_limit(capsys):
+    # chi mod p comes from `_charpoly_mod`, whose int64 sums are exact up
+    # to n = 512; past it only a spectrum proven integral is accepted.  The
+    # path on 513 vertices has the eigenvalues 2 cos(j pi / 514), all but
+    # one of them irrational
+    from sudoku_spectra import cli
+
+    path = np.zeros((513, 513), dtype=np.int64)
+    path[np.arange(512), np.arange(1, 513)] = path[np.arange(1, 513), np.arange(512)] = 1
+    with pytest.raises(la.DimensionMismatch, match="n <= 512 unless the spectrum is proven integral"):
+        la.integer_eigenspaces(path)
+    assert cli.run_guarded(lambda args: la.integer_eigenspaces(path), None) == 3
+    assert "compute error: integer_eigenspaces supports n <= 512" in capsys.readouterr().err
+    # J_513 - I: eigenvalues 512 once and -1 with multiplicity 512
+    got = la.integer_eigenspaces(la.ones_matrix(513) - la.identity(513))
+    assert [(lam, len(basis)) for lam, basis in got] == [(-1, 512), (512, 1)]
+    assert got[1][1][0].tolist() == [1] * 513
+    assert la.integer_eigenspaces(np.zeros((0, 0), dtype=object)) == []
+    with pytest.raises(ValueError):
+        la.integer_eigenspaces(int_matrix([[0, 1], [0, 0]]))
+
+
 def test_rank():
     assert la.rank(la.ones_matrix(3)) == 1
     assert la.rank(la.identity(4)) == 4
@@ -722,6 +741,29 @@ def test_float_eigen_known():
 def test_float_eigen_requires_symmetric():
     with pytest.raises(ValueError):
         la.float_eigen(int_matrix([[0, 1], [0, 0]]))
+    with pytest.raises(ValueError):
+        la.float_eigen(np.array([[0, 1], [0, 0]], dtype=np.int64))
+
+
+def test_float_eigen_int64_matches_object():
+    a = sym01(9, np.random.default_rng(3))
+    w_obj, v_obj = la._float_eigen_pairs(a)
+    w_int, v_int = la._float_eigen_pairs(a.astype(np.int64))
+    assert np.array_equal(w_obj, w_int) and np.array_equal(v_obj, v_int)
+
+
+def test_float_eigen_pairs_on_complement():
+    # given exact eigenvectors, only the pairs orthogonal to them: here the
+    # path P3 beside an isolated vertex, whose exact eigenvalue 0 has the
+    # vectors e_0 and (0, 1, 0, -1)
+    a = int_matrix([[0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]])
+    exact = [np.array([1, 0, 0, 0], dtype=object), np.array([0, 1, 0, -1], dtype=object)]
+    w, v = la._float_eigen_pairs(a, exact=exact)
+    assert w == pytest.approx([-np.sqrt(2), np.sqrt(2)], abs=1e-12)
+    assert v.shape == (4, 2)
+    assert np.allclose(np.array(exact, dtype=float) @ v, 0, atol=1e-12)
+    with pytest.raises(la.ConvergenceError):
+        la._float_eigen_pairs(a, tol=0.0, exact=exact)
 
 
 def test_float_eigen_matches_exact_roots():
