@@ -38,11 +38,21 @@ vectors:
      vectors, and the rank of the whole stack is the sum over families;
   4. rank(X (x) W) = rank X * rank W, so each family's rank comes from its
      N x N seed stack X and its k^2-vector tails W.
+
+`verify` uses two threads.  On the calling thread every seed first passes
+its limits (`seed_candidates`: the size gate, then the scan cap or the
+annihilation certificate), so an input past a limit is refused before any
+dense work starts.  Then one worker thread builds the families and runs
+clauses 2-4 while the calling thread runs the float oracle, an `eigh` on
+the k^2 N blown matrix that spends most of its time in LAPACK with the GIL
+released.  A failed factor-level clause is reported ahead of an oracle
+error, so failures come in the order the clauses are listed in `verify`.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -60,6 +70,7 @@ __all__ = [
     "VerificationFailure",
     "kj_basis",
     "eigenvector_basis",
+    "seed_candidates",
     "build_families",
     "blowup_is_integral",
     "predicted_spectrum",
@@ -163,14 +174,15 @@ def kj_basis(k: int) -> list[np.ndarray]:
     return out
 
 
-def eigenvector_basis(a) -> list[EigenSpace]:
+def eigenvector_basis(a, candidates: list[int] | None = None) -> list[EigenSpace]:
     """Maximal independent eigenvector sets of a symmetric integer matrix,
     ascending by eigenvalue.
 
     Every integer eigenvalue gets its exact rational-kernel basis from
     `linalg.integer_eigenspaces` (n <= 512, or any n with a spectrum proven
-    integral), which alone decides which
-    eigenvalues are exact.  The orthogonal complement of those vectors is
+    integral), which alone decides which eigenvalues are exact;
+    `candidates`, when given, is `linalg.integer_candidates(a)`, computed
+    beforehand.  The orthogonal complement of those vectors is
     invariant under a and holds the non-integer eigenpairs; the float
     oracle's `eigh` on it gives them, one vector each, flagged approximate
     and held to its residual contract.  The union spans the whole space.
@@ -178,7 +190,7 @@ def eigenvector_basis(a) -> list[EigenSpace]:
     a = linalg._require_symmetric(a)
     spaces = [
         EigenSpace(lam, tuple(sorted(vecs, key=tuple)), True)
-        for lam, vecs in linalg.integer_eigenspaces(a)
+        for lam, vecs in linalg.integer_eigenspaces(a, candidates)
     ]
     exact = [x for s in spaces for x in s.vectors]
     if len(exact) < a.shape[0]:
@@ -206,24 +218,39 @@ def _family_table(t: Tiling, k: int) -> tuple:
     )
 
 
+def seed_candidates(t: Tiling, k: int) -> tuple:
+    """The rows of `_family_table`, each paired with the
+    `linalg.integer_candidates` of its seed, or None for XE and for empty
+    families, which need none.  Every seed's size and scan limits are
+    checked here, before any kernel."""
+    out = []
+    for row in _family_table(t, k):
+        _, seed, tails, _, _ = row
+        out.append((row, linalg.integer_candidates(seed) if tails and seed is not None else None))
+    return tuple(out)
+
+
 def build_families(
-    t: Tiling, k: int
+    t: Tiling, k: int, seeds: tuple | None = None
 ) -> tuple[EigenFamily, EigenFamily, EigenFamily, EigenFamily]:
     """Assemble the four eigenvector families of the k-fold blow-up, each
     as its seed eigenspaces (valued at the blow-up eigenvalue) and tails.
+    `seeds` is `seed_candidates(t, k)`, computed here when not given.
 
     For k = 1 the first three families are empty (ker(J_1) is trivial) and
     XM alone is a full eigenbasis of the original adjacency.
     """
+    if seeds is None:
+        seeds = seed_candidates(t, k)
     families = []
-    for kind, seed, tails, coefficients, to_blown in _family_table(t, k):
+    for (kind, seed, tails, coefficients, to_blown), found in seeds:
         spaces: tuple[EigenSpace, ...] = ()
         if tails:
             if seed is None:  # XE: its eigenvalue map ignores the value
                 units = tuple(unit_vector(t.n_cells, i) for i in range(t.n_cells))
                 seed_spaces = [EigenSpace(0, units, True)]
             else:
-                seed_spaces = eigenvector_basis(seed)
+                seed_spaces = eigenvector_basis(seed, found)
             spaces = tuple(EigenSpace(to_blown(s.value), s.vectors, s.exact) for s in seed_spaces)
         families.append(EigenFamily(kind, spaces, tuple(tails), coefficients))
     return tuple(families)  # type: ignore[return-value]
@@ -415,6 +442,18 @@ def _basis_rank(families, dim: int) -> int:
     return total_rank
 
 
+def _factor_clauses(
+    t: Tiling, k: int, seeds: tuple, residual_tol: float
+) -> tuple[tuple[EigenFamily, ...], float, int]:
+    """The families and the two factor-level clauses: (families, largest
+    approximate residual, rank of the blown stack)."""
+    families = build_families(t, k, seeds)
+    max_residual = _max_residual(
+        families, graph.layers(t), substitution_set(k), t.n_cells, residual_tol
+    )
+    return families, max_residual, _basis_rank(families, k * k * t.n_cells)
+
+
 def verify(
     t: Tiling,
     k: int,
@@ -458,20 +497,30 @@ def verify(
     partial sum and difference is an integer below 2**53, so nothing
     rounds, whatever order BLAS sums in.  Past the bound each vector is
     checked on the object array.
+
+    Every seed passes its size and scan limits (`seed_candidates`) before
+    the float oracle starts.  The families and the two factor-level
+    clauses then run on one worker thread while the calling thread runs
+    the oracle; both are joined before the spectrum clauses.  When both
+    fail, the factor-level clause's VerificationFailure is raised, not the
+    oracle's ConvergenceError.
     """
-    families = build_families(t, k)
-    d = graph.layers(t)
-    subs = substitution_set(k)
-    max_residual = _max_residual(families, d, subs, t.n_cells, residual_tol)
-    total_rank = _basis_rank(families, k * k * t.n_cells)
+    seeds = seed_candidates(t, k)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        clauses = pool.submit(_factor_clauses, t, k, seeds, residual_tol)
+        try:
+            up_a = blown_adjacency(t, k) if blown is None else blown
+            oracle = tuple(linalg.float_eigen(up_a))
+        except Exception:
+            clauses.result()  # a failed factor-level clause is reported first
+            raise
+        families, max_residual, total_rank = clauses.result()
 
     # the families' own eigenvalues, in the concatenation order
     # predicted_spectrum uses, so the stable sort gives the same tuple
     predicted = tuple(
         sorted((v for fam in families for v in fam.eigenvalues), key=float)
     )
-    up_a = blown_adjacency(t, k) if blown is None else blown
-    oracle = tuple(linalg.float_eigen(up_a))
 
     xm = families[3]
     max_predicted = max(float(v) for v in xm.eigenvalues)

@@ -14,8 +14,9 @@ that its exact annihilation certificate then proves or rejects.
 
 `integer_eigenspaces` finds every integer eigenvalue with its eigenspace:
 the characteristic polynomial mod one prime, evaluated at every integer
-within the Gershgorin bound, proposes the candidates, and an exact kernel
-decides each one.
+within the Gershgorin bound, proposes the candidates (`integer_candidates`,
+which also checks the size and scan limits), and an exact kernel decides
+each one.  The prime table is shared and safe to extend from any thread.
 
 `rational_kernel` is multimodular: Gauss-Jordan elimination mod 27-bit
 primes in int64, CRT and rational reconstruction after each prime, and a
@@ -31,6 +32,7 @@ order.
 from __future__ import annotations
 
 import operator
+import threading
 from math import comb, gcd, isqrt
 
 import numpy as np
@@ -42,7 +44,6 @@ __all__ = [
     "CandidateLimitError",
     "identity",
     "ones_matrix",
-    "zeros_matrix",
     "all_ones",
     "unit_vector",
     "kron",
@@ -52,6 +53,7 @@ __all__ = [
     "integral_spectrum",
     "poly_mul",
     "rational_kernel",
+    "integer_candidates",
     "integer_eigenspaces",
     "rank",
     "float_eigen",
@@ -81,7 +83,7 @@ class CandidateLimitError(ArithmeticError):
 
 
 def identity(n: int) -> np.ndarray:
-    arr = zeros_matrix(n)
+    arr = np.full((n, n), 0, dtype=object)
     for i in range(n):
         arr[i, i] = 1
     return arr
@@ -89,10 +91,6 @@ def identity(n: int) -> np.ndarray:
 
 def ones_matrix(n: int) -> np.ndarray:
     return np.full((n, n), 1, dtype=object)
-
-
-def zeros_matrix(n: int) -> np.ndarray:
-    return np.full((n, n), 0, dtype=object)
 
 
 def all_ones(n: int) -> np.ndarray:
@@ -158,7 +156,9 @@ def _require_symmetric(a) -> np.ndarray:
 # of `char_poly`.
 
 _PRIME_LIMIT = (1 << 27) - 1
+# descending primes below _PRIME_LIMIT; only ever extended, under the lock
 _primes_cache: list[int] = []
+_primes_lock = threading.Lock()
 
 
 def _is_prime(n: int) -> bool:
@@ -182,11 +182,18 @@ def _is_prime(n: int) -> bool:
 
 
 def _primes(count: int) -> list[int]:
-    p = _primes_cache[-1] - 2 if _primes_cache else _PRIME_LIMIT
-    while len(_primes_cache) < count:
-        if _is_prime(p):
-            _primes_cache.append(p)
-        p -= 2
+    """The `count` largest primes below 2**27, descending.  Safe from any
+    thread: an extension is built locally and published in one `extend`
+    under the lock, so no prime is ever appended twice."""
+    if len(_primes_cache) < count:
+        with _primes_lock:
+            found: list[int] = []
+            p = _primes_cache[-1] - 2 if _primes_cache else _PRIME_LIMIT
+            while len(_primes_cache) + len(found) < count:
+                if _is_prime(p):
+                    found.append(p)
+                p -= 2
+            _primes_cache.extend(found)
     return _primes_cache[:count]
 
 
@@ -897,31 +904,51 @@ _SCAN_PRIME = _primes(1)[0]
 _EIGEN_SCAN_LIMIT = 1 << 22
 
 
-def integer_eigenspaces(a) -> list[tuple[int, list[np.ndarray]]]:
+def integer_candidates(a) -> list[int]:
+    """The candidate step of `integer_eigenspaces`, ascending: integers
+    among which lie all integer eigenvalues of a symmetric integer matrix,
+    found with every limit checked and no kernel computed.
+
+    n <= 512: the integers of [-rho, rho] (rho the Gershgorin bound) where
+    chi = det(xI - a) mod one prime vanishes, at most _EIGEN_SCAN_LIMIT of
+    them scanned (CandidateLimitError past it).  Past 512: the eigenvalues
+    of a spectrum that `integral_spectrum` proves integral
+    (DimensionMismatch when it does not).
+    """
+    return _candidates(_require_ints(_require_symmetric(a)))
+
+
+def _candidates(a: np.ndarray) -> list[int]:
+    """`integer_candidates` of an a already checked to be symmetric ints."""
+    n = a.shape[0]
+    if n <= 512:
+        return _scanned_candidates(a) if n else []
+    certified = integral_spectrum(a)
+    if certified is None:
+        raise DimensionMismatch(
+            f"integer_eigenspaces supports n <= 512 unless the spectrum is proven integral, "
+            f"got {n}"
+        )
+    return [lam for lam, _ in certified]
+
+
+def integer_eigenspaces(
+    a, candidates: list[int] | None = None
+) -> list[tuple[int, list[np.ndarray]]]:
     """(lam, basis of ker(a - lam I)) for every integer eigenvalue lam of a
     symmetric integer matrix, ascending; bases as from `rational_kernel`.
 
-    chi = det(xI - a) mod one prime, Horner-evaluated at every integer of
-    [-rho, rho] (rho the Gershgorin bound), proposes the candidates, and
-    `rational_kernel` decides each: a false candidate gets an empty kernel,
-    and the dimension of a nonempty one is the multiplicity (see the
-    section comment).  Limits: n <= 512, unless `integral_spectrum` proves
-    the spectrum integral and so names the candidates (DimensionMismatch
-    otherwise), and a scan of at most _EIGEN_SCAN_LIMIT integers
-    (CandidateLimitError past it).
+    `integer_candidates` proposes the eigenvalues and checks the limits
+    (n <= 512 unless the spectrum is proven integral, a scan of at most
+    _EIGEN_SCAN_LIMIT integers); `rational_kernel` decides each candidate:
+    a false one gets an empty kernel, and the dimension of a nonempty one
+    is the multiplicity (see the section comment).  A caller that checks
+    the limits before it starts other work passes `candidates`, which must
+    then be `integer_candidates(a)`.
     """
     a = _require_ints(_require_symmetric(a))
-    n = a.shape[0]
-    if n <= 512:
-        candidates = _scanned_candidates(a) if n else []
-    else:
-        certified = integral_spectrum(a)
-        if certified is None:
-            raise DimensionMismatch(
-                f"integer_eigenspaces supports n <= 512 unless the spectrum is proven integral, "
-                f"got {n}"
-            )
-        candidates = [lam for lam, _ in certified]
+    if candidates is None:
+        candidates = _candidates(a)
     out = []
     for lam in candidates:
         basis = rational_kernel(a, lam)

@@ -15,7 +15,8 @@ blow-up families, which the factor-level clauses of `eigenbasis.verify`
 must agree with.
 `spectrum_charpoly`, `poly_eval`, `trace` and `eigenvalue_sum` read a
 spectrum back as the quantities `char_poly` and the float oracle are
-checked against; `int_matrix` builds the tests' object-int matrices.
+checked against; `int_matrix` and `zeros_matrix` build the tests'
+object-int matrices.
 """
 
 import operator
@@ -33,7 +34,6 @@ from sudoku_spectra.linalg import (
     _require_square,
     poly_mul,
     rank,
-    zeros_matrix,
 )
 
 
@@ -47,6 +47,11 @@ def int_matrix(rows) -> np.ndarray:
     for i, row in enumerate(data):
         arr[i, :] = row
     return arr
+
+
+def zeros_matrix(n: int) -> np.ndarray:
+    """The n x n zero matrix of Python ints."""
+    return np.full((n, n), 0, dtype=object)
 
 
 def charpoly_berkowitz(a) -> tuple[int, ...]:

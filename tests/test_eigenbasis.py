@@ -339,9 +339,9 @@ def test_build_families_k1_skips_empty_families(freeform4, monkeypatch):
     real = la.integer_eigenspaces
     seen = []
 
-    def recorded(a):
+    def recorded(a, candidates=None):
         seen.append(a)
-        return real(a)
+        return real(a, candidates)
 
     monkeypatch.setattr(la, "integer_eigenspaces", recorded)
     families = build_families(freeform4, 1)
@@ -385,7 +385,7 @@ def _off_by_one(vec):
 
 
 def _verify_with(monkeypatch, t, k, families, **kwargs):
-    monkeypatch.setattr(eigenbasis_mod, "build_families", lambda t_, k_: families)
+    monkeypatch.setattr(eigenbasis_mod, "build_families", lambda t_, k_, seeds: families)
     return verify(t, k, **kwargs)
 
 
@@ -709,3 +709,82 @@ def test_basis_rank_deficient_stack_fails():
     doubled = _with_seed(families, "XE", 3, lambda v: xe_seeds[2].copy())
     with pytest.raises(VerificationFailure, match=r"^basis-rank: rank 63 != 64$"):
         eigenbasis_mod._basis_rank(doubled, 64)
+
+
+def _failing_oracle(a, tol=1e-8):
+    raise la.ConvergenceError("injected")
+
+
+def test_factor_failure_outranks_oracle_error(monkeypatch):
+    # the exact clauses run beside the float oracle; when both fail, the
+    # clause is reported, with the message it has when the oracle passes
+    t = classical_tiling(2)
+    bad = _with_seed(build_families(t, 2), "XV", 0, _off_by_one)
+    monkeypatch.setattr(la, "float_eigen", _failing_oracle)
+    with pytest.raises(VerificationFailure) as info:
+        _verify_with(monkeypatch, t, 2, bad)
+    assert str(info.value) == "eigenvector-residual: XV vector for eigenvalue -5 is not exact"
+
+
+def test_oracle_error_alone_exits_3(tmp_path, monkeypatch, capsys):
+    from sudoku_spectra import cli
+    from sudoku_spectra.tiling import render_tiling
+
+    path = tmp_path / "c2.tiling"
+    path.write_text(render_tiling(classical_tiling(2)))
+    monkeypatch.setattr(la, "float_eigen", _failing_oracle)
+    assert cli.main(["blowup", str(path), "--k", "2", "--verify"]) == 3
+    assert capsys.readouterr().err == "compute error: injected\n"
+
+
+def test_verify_leaves_no_thread_behind(monkeypatch):
+    # each verify shuts its pool down and waits for the worker, whether it
+    # passes, the oracle fails or a clause fails
+    import threading
+
+    shutdowns = []
+
+    class Recorded(eigenbasis_mod.ThreadPoolExecutor):
+        def shutdown(self, wait=True, **kwargs):
+            shutdowns.append(wait)
+            super().shutdown(wait, **kwargs)
+
+    monkeypatch.setattr(eigenbasis_mod, "ThreadPoolExecutor", Recorded)
+    t = classical_tiling(2)
+    baseline = threading.active_count()
+    verify(t, 2)
+    assert threading.active_count() == baseline
+    with monkeypatch.context() as patch:
+        patch.setattr(la, "float_eigen", _failing_oracle)
+        with pytest.raises(la.ConvergenceError):
+            verify(t, 2)
+    assert threading.active_count() == baseline
+    bad = _with_seed(build_families(t, 2), "XM", 3, _off_by_one)
+    with pytest.raises(VerificationFailure):
+        _verify_with(monkeypatch, t, 2, bad)
+    assert threading.active_count() == baseline
+    assert shutdowns == [True] * 3
+
+
+def test_limits_are_checked_before_the_oracle(monkeypatch):
+    # random_tiling(23, 0) has 529 cells: l_v and l_h are proven integral,
+    # M is not, so its seed is refused before any kernel, blown matrix or
+    # oracle is computed
+    calls = []
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(la, "float_eigen")
+    count(la, "rational_kernel")
+    count(eigenbasis_mod, "blown_adjacency")
+    with pytest.raises(la.DimensionMismatch,
+                       match="n <= 512 unless the spectrum is proven integral, got 529"):
+        verify(random_tiling(23, 0), 2)
+    assert calls == []

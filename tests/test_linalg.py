@@ -21,7 +21,7 @@ from oracles import (
 from sudoku_spectra import linalg as la
 from sudoku_spectra.graph import layers
 from sudoku_spectra.spectra import exact_spectrum
-from sudoku_spectra.tiling import classical_tiling
+from sudoku_spectra.tiling import classical_tiling, random_tiling
 
 
 def square_rows(n):
@@ -202,7 +202,7 @@ def test_coeff_bound_classical4_bits():
     # the Frobenius-norm bound: 765 bits (29 primes); the amax bound was
     # 1065 bits (40 primes); the coefficients themselves have 462 bits
     from sudoku_spectra.graph import adjacency
-    from sudoku_spectra.tiling import classical_tiling
+    from sudoku_spectra.tiling import classical_tiling, random_tiling
 
     assert la._coeff_bound(adjacency(classical_tiling(4))).bit_length() <= 766
 
@@ -634,6 +634,32 @@ def test_integer_eigenspaces_false_candidate(monkeypatch):
         [(lam, [v.tolist() for v in basis]) for lam, basis in expected]
 
 
+def test_integer_candidates_feed_the_kernels(monkeypatch):
+    # the candidate step alone: it holds every integer eigenvalue, passing
+    # it back gives the same eigenspaces, and both limits raise from it
+    # before any kernel is computed
+    for a in (layers(classical_tiling(2)).l_h, layers(random_tiling(3, 1)).l_v,
+              int_matrix([[0, 1], [1, 1]])):
+        candidates = la.integer_candidates(a)
+        assert candidates == sorted(candidates)
+        whole = la.integer_eigenspaces(a)
+        assert {lam for lam, _ in whole} <= set(candidates)
+        given = la.integer_eigenspaces(a, candidates)
+        assert [(lam, [v.tolist() for v in basis]) for lam, basis in given] == \
+            [(lam, [v.tolist() for v in basis]) for lam, basis in whole]
+
+    def no_kernel(mat, lam):
+        raise AssertionError("a kernel before the limits were checked")
+
+    monkeypatch.setattr(la, "rational_kernel", no_kernel)
+    with pytest.raises(la.CandidateLimitError):
+        la.integer_candidates(int_matrix([[la._EIGEN_SCAN_LIMIT // 2]]))
+    path = np.zeros((513, 513), dtype=np.int64)
+    path[np.arange(512), np.arange(1, 513)] = path[np.arange(1, 513), np.arange(512)] = 1
+    with pytest.raises(la.DimensionMismatch, match="n <= 512 unless the spectrum is proven integral"):
+        la.integer_candidates(path)
+
+
 def test_integer_eigenspaces_scan_limit(capsys):
     # [[rho]] scans 2 rho + 1 integers: one under the limit and one past it
     from sudoku_spectra import cli
@@ -785,7 +811,7 @@ def test_float_eigen_matches_exact_roots():
 def test_float_eigen_rounding_reproduces_integer_spectrum():
     # fully integer spectrum: rounding the floats gives back the multiset
     from sudoku_spectra.graph import adjacency
-    from sudoku_spectra.tiling import classical_tiling
+    from sudoku_spectra.tiling import classical_tiling, random_tiling
 
     a = adjacency(classical_tiling(2))
     cp = la.char_poly(a)
@@ -817,3 +843,50 @@ def test_charpoly_size_limit():
     # int64 dot products of 27-bit residues are exact up to n = 512
     with pytest.raises(la.DimensionMismatch, match="n <= 512"):
         la.char_poly(np.zeros((513, 513), dtype=object))
+
+
+@pytest.mark.parametrize("counts", [[40] * 8, [5 * (i + 1) for i in range(8)]],
+                         ids=["same-count", "growing-counts"])
+def test_primes_table_is_thread_safe(counts, monkeypatch):
+    # threads extending an empty table at once each get the largest primes,
+    # distinct and descending; a slow primality test and a short switch
+    # interval make a check-then-append race likely, and growing counts
+    # catch an extension that starts from a stale end of the table
+    import sys
+    import threading
+
+    expected = []
+    p = la._PRIME_LIMIT
+    while len(expected) < 40:
+        if la._is_prime(p):
+            expected.append(p)
+        p -= 2
+    real = la._is_prime
+
+    def slow_is_prime(n):
+        time.sleep(1e-5)
+        return real(n)
+
+    monkeypatch.setattr(la, "_primes_cache", [])
+    monkeypatch.setattr(la, "_is_prime", slow_is_prime)
+    start = threading.Barrier(len(counts))
+    results = [None] * len(counts)
+
+    def extend(i):
+        start.wait(timeout=10)
+        time.sleep(i * 2e-4)  # smaller counts tend to reach the lock first
+        results[i] = la._primes(counts[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=extend, args=(i,)) for i in range(len(counts))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == [expected[:c] for c in counts]
+    assert la._primes_cache == expected
