@@ -361,11 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_guarded(func, args) -> int:
-    """func(args)'s exit code; an input error exits 2 and a computational
-    error exits 3, each with a one-line message instead of a traceback."""
+    """func(args)'s exit code; an input error (a bad tiling, or a file that
+    cannot be read or is not UTF-8) exits 2 and a computational error exits
+    3, each with a one-line message instead of a traceback."""
     try:
         return func(args)
-    except (TilingError, OSError) as exc:
+    except (TilingError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ConvergenceError, linalg.DimensionMismatch, ArithmeticError) as exc:

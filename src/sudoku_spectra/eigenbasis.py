@@ -270,28 +270,18 @@ def blowup_is_integral(t: Tiling, k: int) -> bool:
     )
 
 
-def predicted_spectrum(t: Tiling, k: int) -> tuple:
-    """Predicted eigenvalue multiset of the k-fold blow-up, sorted.
+def _predicted(families) -> tuple:
+    """The families' eigenvalues as one multiset, sorted by value; a stable
+    sort keeps the family order (XV, XH, XE, XM) among equal values."""
+    return tuple(sorted((v for fam in families for v in fam.eigenvalues), key=float))
 
-    lam*k - 1 for each eigenvalue lam of l_v and of l_h (each k-1 times),
-    -1 with multiplicity (k-1)^2 * N, and lam + k^2 - 1 for each eigenvalue
-    lam of M = k^2 l_b + k l_h + k l_v; N = number of original cells.
-    Exact entries are ints, approximate ones floats.
-    """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    d = graph.layers(t)
-    n = t.n_cells
-    values: list[float | int] = []
-    if k > 1:
-        for layer in (d.l_v, d.l_h):
-            for space in eigenvector_basis(layer):
-                values.extend([space.value * k - 1] * (space.dim * (k - 1)))
-        values.extend([-1] * ((k - 1) * (k - 1) * n))
-    m_matrix = k * k * d.l_b + k * d.l_h + k * d.l_v
-    for space in eigenvector_basis(m_matrix):
-        values.extend([space.value + k * k - 1] * space.dim)
-    return tuple(sorted(values, key=float))
+
+def predicted_spectrum(t: Tiling, k: int) -> tuple:
+    """Predicted eigenvalue multiset of the k-fold blow-up, sorted: the
+    eigenvalues of `build_families(t, k)`, the seed eigenvalues mapped
+    through `_family_table`.  Exact entries are ints, approximate ones
+    floats."""
+    return _predicted(build_families(t, k))
 
 
 def _as_float(vec: np.ndarray) -> np.ndarray:
@@ -404,20 +394,12 @@ def _max_residual(families, d, subs, n: int, residual_tol: float) -> float:
     return max_residual
 
 
-def _exact_rank(vecs) -> int:
-    """Rank over Q of integer vectors.  Full rank mod p is full rational
-    rank, so only a short modular rank calls `linalg.rank`."""
-    mat = np.array(vecs, dtype=object)
-    found = linalg._rank_mod(mat, linalg._primes(1)[0])
-    return found if found == min(mat.shape) else linalg.rank(mat)
-
-
 def _seed_rank(fam: EigenFamily) -> int:
     """rank X_f: exact when every seed is, else an SVD with a relative
     1e-8 threshold."""
     xs = [x for s in fam.spaces for x in s.vectors]
     if all(s.exact for s in fam.spaces):
-        return _exact_rank(xs)
+        return linalg.rank(xs)
     sing = np.linalg.svd(np.array([_as_float(x) for x in xs]), compute_uv=False)
     return int(np.sum(sing > 1e-8 * sing[0]))
 
@@ -436,7 +418,7 @@ def _basis_rank(families, dim: int) -> int:
             raise VerificationFailure(
                 "basis-rank", f"{a.kind} and {b.kind} tails are not orthogonal"
             )
-    total_rank = sum(_seed_rank(fam) * _exact_rank(fam.tails) for fam in present)
+    total_rank = sum(_seed_rank(fam) * linalg.rank(fam.tails) for fam in present)
     if total_rank != dim:
         raise VerificationFailure("basis-rank", f"rank {total_rank} != {dim}")
     return total_rank
@@ -516,11 +498,7 @@ def verify(
             raise
         families, max_residual, total_rank = clauses.result()
 
-    # the families' own eigenvalues, in the concatenation order
-    # predicted_spectrum uses, so the stable sort gives the same tuple
-    predicted = tuple(
-        sorted((v for fam in families for v in fam.eigenvalues), key=float)
-    )
+    predicted = _predicted(families)
 
     xm = families[3]
     max_predicted = max(float(v) for v in xm.eigenvalues)

@@ -18,12 +18,17 @@ within the Gershgorin bound, proposes the candidates (`integer_candidates`,
 which also checks the size and scan limits), and an exact kernel decides
 each one.  The prime table is shared and safe to extend from any thread.
 
-`rational_kernel` is multimodular: Gauss-Jordan elimination mod 27-bit
-primes in int64, CRT and rational reconstruction after each prime, and a
-lift returned only once (a - lam I) X == 0 holds exactly.  The exact check
-proves the lift is the rational free-column basis, primes whose pivot set
-lags are skipped as unlucky, and a Hadamard bound caps the primes: past
-it the lift cannot fail, so reaching it raises CertificateError.
+One elimination, Gauss-Jordan mod a prime in int64 (`_rref_mod`), decides
+every exact rank, kernel and linear solve.  `rational_kernel` is
+multimodular: that elimination mod 27-bit primes, CRT and rational
+reconstruction after each prime, and a lift returned only once
+(a - lam I) X == 0 holds exactly.  The exact check proves the lift is the
+rational free-column basis, primes whose pivot set lags are skipped as
+unlucky, and a Hadamard bound caps the primes: past it the lift cannot
+fail, so reaching it raises CertificateError.  `rank` is the rank mod one
+prime when that is full, and otherwise the side of a zero-padded square
+minus the length of its `rational_kernel`.  `integral_spectrum` solves its
+trace system mod one prime with the same elimination.
 
 Polynomials are tuples of Python ints, coefficients in ascending degree
 order.
@@ -31,6 +36,7 @@ order.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import threading
 from math import comb, gcd, isqrt
@@ -162,13 +168,16 @@ _primes_lock = threading.Lock()
 
 
 def _is_prime(n: int) -> bool:
-    if n % 2 == 0:
-        return n == 2
+    """Miller-Rabin with the witnesses 2, 3, 5, 7: exact for n below 3.2e9."""
+    if n < 2:
+        return False
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7):  # deterministic below 3.2e9
+    for a in (2, 3, 5, 7):
+        if n % a == 0:
+            return n == a
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -342,12 +351,15 @@ _ROOT_SCAN = 1 << 15
 _ROOT_SIEVE_LIMIT = 1 << 16
 
 
-def _small_primes():
-    q = 2
-    while True:
-        if all(q % d for d in range(2, isqrt(q) + 1)):
-            yield q
-        q += 1
+def _horner_mod(coeffs, x: np.ndarray, p: int) -> np.ndarray:
+    """The polynomial with ascending coeffs mod p at each int64 residue of
+    x, by Horner's rule; exact while p**2 < 2**63."""
+    value = np.zeros_like(x)
+    for c in reversed(coeffs):
+        value *= x
+        value += c % p
+        value %= p
+    return value
 
 
 def _sieved_root_candidates(coeffs: list[int], cap: int) -> list[int]:
@@ -361,14 +373,10 @@ def _sieved_root_candidates(coeffs: list[int], cap: int) -> list[int]:
     CandidateLimitError when the classes would pass _ROOT_SIEVE_LIMIT.
     """
     classes, modulus = [0], 1
-    for q in _small_primes():
+    for q in filter(_is_prime, itertools.count(2)):
         if modulus > 2 * cap:
             break
-        x = np.arange(q, dtype=np.int64)
-        value = np.zeros(q, dtype=np.int64)
-        for c in reversed(coeffs):  # Horner on residues below q < 2**31
-            value = (value * x + c % q) % q
-        roots = np.flatnonzero(value == 0).tolist()
+        roots = np.flatnonzero(_horner_mod(coeffs, np.arange(q, dtype=np.int64), q) == 0).tolist()
         if len(classes) * len(roots) > _ROOT_SIEVE_LIMIT:
             raise CandidateLimitError(
                 f"integer_roots: more than {_ROOT_SIEVE_LIMIT} candidate root classes "
@@ -525,22 +533,6 @@ def _power_traces_mod(a_f: np.ndarray, count: int, p: int) -> list[int]:
     return traces[:count]
 
 
-def _solve_mod(rows: list[list[int]], rhs: list[int], p: int) -> list[int]:
-    """The solution mod p of an invertible square system, by elimination."""
-    size = len(rows)
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    for c in range(size):
-        piv = next(r for r in range(c, size) if aug[r][c] % p)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = pow(aug[c][c], -1, p)
-        aug[c] = [x * inv % p for x in aug[c]]
-        for r in range(size):
-            f = aug[r][c]
-            if r != c and f:
-                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[c])]
-    return [row[size] for row in aug]
-
-
 def integral_spectrum(a) -> list[tuple[int, int]] | None:
     """Exact (eigenvalue, multiplicity) pairs of a symmetric integer matrix
     whose eigenvalues are all integers, or None.
@@ -576,10 +568,16 @@ def integral_spectrum(a) -> list[tuple[int, int]] | None:
     # |a_ij| <= rho < p / 2 < 2**53, so a_f holds the entries exactly
     if not all(_annihilates_mod(a_f, values, p) for p in primes):
         return None
-    p = primes[0]
-    traces = _power_traces_mod(a_f, len(values), p)
-    vandermonde = [[pow(lam, j, p) for lam in values] for j in range(len(values))]
-    mults = _solve_mod(vandermonde, traces, p)
+    p, size = primes[0], len(values)
+    traces = _power_traces_mod(a_f, size, p)
+    # [V | traces] with V_jl = lam_l^j mod p; the certificate primes keep
+    # p**2 < 2**63, so `_rref_mod` solves it in int64
+    aug = np.array(
+        [[pow(lam, j, p) for lam in values] + [traces[j]] for j in range(size)], dtype=np.int64
+    )
+    if _rref_mod(aug, p) != list(range(size)):
+        raise CertificateError(f"trace solve: singular mod {p} for {values} at n = {n}")
+    mults = aug[:, size].tolist()
     if any(m > n for m in mults) or sum(mults) != n:
         raise CertificateError(
             f"trace solve gave multiplicities {mults} for {values} at n = {n}"
@@ -590,13 +588,19 @@ def integral_spectrum(a) -> list[tuple[int, int]] | None:
 # ---------------------------------------------------------------------------
 # exact kernels and rank
 #
-# Both eliminate mod 27-bit primes in int64, as the Hessenberg step does:
-# the pivot swap and the row update touch columns c.. only, and only rows
-# whose multiplier is nonzero mod p, so a sparse matrix such as a stack of
-# seed eigenvectors costs little more than its nonzeros.
+# `_rref_mod` is the one exact elimination of the library: Gauss-Jordan mod
+# a prime in int64, as the Hessenberg step runs.  The pivot swap, scaling
+# and row update touch columns c.. only, and only rows nonzero in column c,
+# so a sparse matrix such as a stack of seed eigenvectors costs little more
+# than its nonzeros.  `integral_spectrum` solves its trace system with it.
 #
-# `rank` eliminates mod one prime; fraction-free (Bareiss) elimination over
-# the integers decides only when that rank falls short of full.
+# `rank` takes the rank mod one 27-bit prime.  A minor nonzero mod p is
+# nonzero over Z, so that rank never exceeds the rational one, and full rank
+# mod p decides.  Short of full, a is zero-padded to a square S of its larger
+# side and rank a = size - dim ker S: S adds zero columns, whose coordinates
+# join the kernel, or zero rows, which change nothing, so rank S = rank a.
+# The kernel comes from `rational_kernel`, whose verified basis is
+# independent (see below), so its length is dim ker S.
 #
 # `rational_kernel` runs Gauss-Jordan mod p and reads the free-column basis
 # (1 at its free column, 0 at the others) off the reduced form.  After each
@@ -617,78 +621,6 @@ def integral_spectrum(a) -> list[tuple[int, int]] | None:
 # the skipped primes all divide one nonzero minor (product at most H), and
 # by Cramer's rule the entries' numerators and denominators are at most H,
 # so reconstruction is exact once the other primes multiply past 2 H^2.
-
-
-def _bareiss_echelon(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Row echelon form by fraction-free (Bareiss) elimination, in place;
-    returns (mat, pivot cols)."""
-    n_rows, n_cols = mat.shape
-    denom = 1
-    r = 0
-    pivots: list[int] = []
-    for c in range(n_cols):
-        piv_row = next((i for i in range(r, n_rows) if mat[i, c] != 0), None)
-        if piv_row is None:
-            continue
-        if piv_row != r:
-            mat[[r, piv_row]] = mat[[piv_row, r]]
-        piv = mat[r, c]
-        if r + 1 < n_rows:
-            block = mat[r + 1:, c:]
-            mat[r + 1:, c:] = (piv * block - np.outer(mat[r + 1:, c], mat[r, c:])) // denom
-        denom = piv
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return mat, pivots
-
-
-def _rank_mod(mat: np.ndarray, p: int) -> int:
-    h = (_for_residues(mat) % p).astype(np.int64, copy=False)
-    n_rows, n_cols = h.shape
-    r = 0
-    for c in range(n_cols):
-        nz = np.flatnonzero(h[r:, c])
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        # rows r.. are already zero left of column c, so the swap and the
-        # update touch columns c.. only
-        if piv != r:
-            h[[r, piv], c:] = h[[piv, r], c:]
-        inv = pow(int(h[r, c]), -1, p)
-        f = h[r + 1:, c] * inv % p
-        # a row whose multiplier is 0 mod p is left unchanged
-        live = np.flatnonzero(f)
-        if live.size:
-            rows = r + 1 + live
-            h[rows, c:] = (h[rows, c:] - f[live, None] * h[r, c:]) % p
-        r += 1
-        if r == n_rows:
-            break
-    return r
-
-
-def rank(a) -> int:
-    """Exact rank over the rationals of an integer matrix.
-
-    Entries must be Python ints (TypeError otherwise).  A single-prime
-    modular elimination runs first; it updates only columns from the pivot
-    on and only rows with a nonzero multiplier mod p, which eliminates the
-    same matrix as whole-row updates.  Rank mod p never exceeds the
-    rational rank, so a full-rank result is already a certificate and the
-    fraction-free (Bareiss) elimination is only needed otherwise.
-    """
-    mat = _require_ints(a)
-    if mat.size == 0:
-        return 0
-    p = _primes(1)[0]
-    modular = _rank_mod(mat, p)
-    if modular == min(mat.shape):
-        return modular
-    _, pivots = _bareiss_echelon(mat.copy())
-    return len(pivots)
 
 
 def _rref_mod(h: np.ndarray, p: int) -> list[int]:
@@ -883,6 +815,31 @@ def rational_kernel(a, lam: int) -> list[np.ndarray]:
     )
 
 
+def rank(a) -> int:
+    """Exact rank over the rationals of an integer matrix.
+
+    Entries must be Python ints (TypeError otherwise).  The rank mod the
+    first table prime comes first: rank mod p never exceeds the rational
+    rank, so full rank mod p is already a certificate.  Otherwise a is
+    zero-padded to a size x size square S, size = max(a.shape), and the
+    rank is size - dim ker S.  That is exact: ker S is ker a plus the
+    padded coordinates, so rank S = rank a, and `rational_kernel` returns
+    a verified basis whose free-column pattern makes it independent, so
+    its length is the rational nullity of S.
+    """
+    mat = _require_ints(a)
+    if mat.size == 0:
+        return 0
+    p = _primes(1)[0]
+    modular = len(_rref_mod((_for_residues(mat) % p).astype(np.int64, copy=False), p))
+    if modular == min(mat.shape):
+        return modular
+    size = max(mat.shape)
+    square = np.full((size, size), 0, dtype=object)
+    square[: mat.shape[0], : mat.shape[1]] = mat
+    return size - len(rational_kernel(square, 0))
+
+
 # ---------------------------------------------------------------------------
 # integer eigenspaces: one prime proposes, exact kernels decide
 #
@@ -968,12 +925,7 @@ def _scanned_candidates(a: np.ndarray) -> list[int]:
         )
     p = _SCAN_PRIME
     chi = _charpoly_mod((_for_residues(a) % p).astype(np.int64, copy=False), p)
-    x = np.arange(-rho, rho + 1, dtype=np.int64) % p
-    value = np.zeros_like(x)
-    for c in chi[::-1].tolist():  # each product is below p**2 < 2**63
-        value *= x
-        value += c
-        value %= p
+    value = _horner_mod(chi.tolist(), np.arange(-rho, rho + 1, dtype=np.int64) % p, p)
     return (np.flatnonzero(value == 0) - rho).tolist()
 
 

@@ -1,18 +1,23 @@
 """Independent routes kept as test oracles.
 
-None is used by the library: `charpoly_berkowitz` cross-checks the
-multi-modular `char_poly`, `bareiss_det` gives det(lam*I - A) for checking
-characteristic-polynomial evaluations, `kernel_bareiss` is the
-fraction-free kernel the modular `linalg.rational_kernel` must reproduce
-byte for byte, `rank_mod_dense` is the whole-row modular elimination the
-sparse `linalg._rank_mod` is checked against, `hessenberg_charpoly_scalar`
-is the one-term-at-a-time recurrence the table recurrence of
-`linalg._charpoly_mod` must reproduce, and
-`substitute_template` builds the blow-up symbol by symbol as the reference
-for `blown_adjacency`, and `dense_max_residual` and `dense_basis_rank` are
-the eigenvector and rank clauses on the expanded k^2 N-vectors of the
-blow-up families, which the factor-level clauses of `eigenbasis.verify`
-must agree with.
+None is used by the library, whose one exact elimination is Gauss-Jordan
+mod a prime (`linalg._rref_mod`):
+- `charpoly_berkowitz` cross-checks the multi-modular `char_poly`;
+- `bareiss_det` gives det(lam*I - A) for checking characteristic-polynomial
+  evaluations;
+- `bareiss_echelon` is fraction-free elimination over the integers: its
+  pivot count is the reference rank for `linalg.rank`, and
+  `kernel_bareiss` solves on it for the kernel the modular
+  `linalg.rational_kernel` must reproduce byte for byte;
+- `rank_mod_dense` is the whole-row modular elimination whose rank
+  `linalg._rref_mod`'s live-row updates must reproduce;
+- `hessenberg_charpoly_scalar` is the one-term-at-a-time recurrence the
+  table recurrence of `linalg._charpoly_mod` must reproduce;
+- `substitute_template` builds the blow-up symbol by symbol as the
+  reference for `blown_adjacency`;
+- `dense_max_residual` and `dense_basis_rank` are the eigenvector and rank
+  clauses on the expanded k^2 N-vectors of the blow-up families, which the
+  factor-level clauses of `eigenbasis.verify` must agree with.
 `spectrum_charpoly`, `poly_eval`, `trace` and `eigenvalue_sum` read a
 spectrum back as the quantities `char_poly` and the float oracle are
 checked against; `int_matrix` and `zeros_matrix` build the tests'
@@ -29,7 +34,6 @@ from sudoku_spectra.eigenbasis import VerificationFailure
 from sudoku_spectra.graph import template
 from sudoku_spectra.linalg import (
     DimensionMismatch,
-    _bareiss_echelon,
     _require_ints,
     _require_square,
     poly_mul,
@@ -101,6 +105,31 @@ def bareiss_det(a) -> int:
     return sign * int(mat[n - 1, n - 1])
 
 
+def bareiss_echelon(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Row echelon form by fraction-free (Bareiss) elimination, in place;
+    returns (mat, pivot cols).  The number of pivots is the rank."""
+    n_rows, n_cols = mat.shape
+    denom = 1
+    r = 0
+    pivots: list[int] = []
+    for c in range(n_cols):
+        piv_row = next((i for i in range(r, n_rows) if mat[i, c] != 0), None)
+        if piv_row is None:
+            continue
+        if piv_row != r:
+            mat[[r, piv_row]] = mat[[piv_row, r]]
+        piv = mat[r, c]
+        if r + 1 < n_rows:
+            block = mat[r + 1:, c:]
+            mat[r + 1:, c:] = (piv * block - np.outer(mat[r + 1:, c], mat[r, c:])) // denom
+        denom = piv
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return mat, pivots
+
+
 def kernel_bareiss(a, lam: int) -> list[np.ndarray]:
     """Basis of ker(a - lam*I) by fraction-free (Bareiss) elimination and
     integer back-substitution, one primitive vector per free column
@@ -116,7 +145,7 @@ def kernel_bareiss(a, lam: int) -> list[np.ndarray]:
     mat = a.copy()
     for i in range(n):
         mat[i, i] -= lam
-    ech, pivots = _bareiss_echelon(mat)
+    ech, pivots = bareiss_echelon(mat)
     rows = ech[: len(pivots)].tolist()
     pivot_set = set(pivots)
     basis = []

@@ -55,6 +55,15 @@ def test_spectrum_missing_file(capsys):
     assert main(["spectrum", "/nonexistent/file.tiling"]) == 2
 
 
+def test_check_undecodable_file(tmp_path, capsys):
+    # a byte that is not UTF-8 is bad input, reported in one line
+    path = tmp_path / "binary.tiling"
+    path.write_bytes(b"\xff")
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("input error: ")
+
+
 def test_check_classical(classical2_file, capsys):
     assert main(["check", classical2_file]) == 0
     assert "guaranteed-integral" in capsys.readouterr().out

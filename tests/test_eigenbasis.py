@@ -657,12 +657,10 @@ def test_duplicated_tail_fails_rank():
 
 @pytest.mark.parametrize("t", [classical_tiling(3), random_tiling(9, 1)],
                          ids=["classical3", "random9-1"])
-def test_build_families_kernels_are_modular(monkeypatch, t):
-    # the seeds' exact eigenvectors come from the modular kernel alone
-    def no_bareiss(mat):
-        raise AssertionError("Bareiss elimination on the production path")
-
-    monkeypatch.setattr(la, "_bareiss_echelon", no_bareiss)
+def test_build_families_kernels_are_modular(t):
+    # the seeds' exact eigenvectors come from the modular kernel alone:
+    # linalg keeps no Bareiss routine for them to fall back to
+    assert [name for name in vars(la) if "bareiss" in name.lower()] == []
     families = build_families(t, 3)
     n = t.n_cells
     assert tuple(len(f) for f in families) == (2 * n, 2 * n, 4 * n, n)
@@ -691,15 +689,17 @@ def test_build_families_match_vectorwise_kron(t, k):
 def test_basis_rank_falls_back_when_short_mod_p(monkeypatch):
     # a seed vector scaled by the rank prime is 0 mod p but keeps the
     # rational rank full: the short modular rank of XM's 16 x 16 seed stack
-    # hands over to linalg.rank
+    # hands over to the exact kernel, and no other stack does
     t = classical_tiling(2)
     p = la._primes(1)[0]
     families = _with_seed(build_families(t, 2), "XM", 15, lambda v: v * p)
     calls = []
-    real = la.rank
-    monkeypatch.setattr(la, "rank", lambda mat: calls.append(mat.shape) or real(mat))
+    real = la.rational_kernel
+    monkeypatch.setattr(
+        la, "rational_kernel", lambda mat, lam: calls.append((mat.shape, lam)) or real(mat, lam)
+    )
     assert eigenbasis_mod._basis_rank(families, 64) == 64
-    assert calls == [(16, 16)]
+    assert calls == [((16, 16), 0)]
 
 
 def test_basis_rank_deficient_stack_fails():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import tilings
 from oracles import (
     bareiss_det,
+    bareiss_echelon,
     charpoly_berkowitz,
     hessenberg_charpoly_scalar,
     int_matrix,
@@ -377,6 +378,23 @@ def test_certificate_primes(n, rho, values):
     assert len(primes) == 1 or product // primes[-1] <= bound  # none beyond need
 
 
+def test_is_prime_matches_trial_division():
+    # the witnesses 3, 5 and 7 are primes themselves, and n = 1 has no odd
+    # part to reduce to; a thread with a timeout makes a hang fail
+    import threading
+
+    results = {}
+    worker = threading.Thread(
+        target=lambda: results.update((n, la._is_prime(n)) for n in (0, 1)), daemon=True
+    )
+    worker.start()
+    worker.join(timeout=5)
+    assert results == {0: False, 1: False}
+    assert [n for n in range(10**4) if la._is_prime(n)] == [
+        n for n in range(10**4) if _is_prime_trial(n)
+    ]
+
+
 def test_certificate_primes_run_out():
     # every p with 4 (p - 1)**2 < 2**53 is below 2 * rho
     assert la._certificate_primes(4, 2**26, [0]) is None
@@ -712,7 +730,7 @@ def low_rank_matrices(draw):
     """Rectangular u @ w of rank at most r: u and w under random sparsity
     masks, some rows and columns zeroed, and sometimes multiples of the
     first CRT prime p added, so the rank mod p falls below the rational
-    rank and `rank` needs its Bareiss fallback."""
+    rank and `rank` needs its kernel fallback."""
     n_rows, n_cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     r = draw(st.integers(0, min(n_rows, n_cols)))
     sparse = st.integers(-3, 3).flatmap(lambda x: st.sampled_from([0, x]))
@@ -726,21 +744,26 @@ def low_rank_matrices(draw):
     return a
 
 
+def _rref_rank(a, p: int) -> int:
+    return len(la._rref_mod((np.asarray(a, dtype=object) % p).astype(np.int64), p))
+
+
 @given(low_rank_matrices())
 @settings(max_examples=200, deadline=None)
 def test_rank_matches_bareiss(a):
-    # the modular rank certifies only full rank; otherwise Bareiss decides
-    assert la.rank(a) == len(la._bareiss_echelon(a.copy())[1])
+    # the modular rank certifies only full rank; otherwise the padded
+    # square's rational kernel decides, and Bareiss is the reference
+    assert la.rank(a) == len(bareiss_echelon(a.copy())[1])
     p = la._primes(1)[0]
-    # the sparse update eliminates exactly what the whole-row update does
-    assert la._rank_mod(a, p) == rank_mod_dense(a, p)
+    # the live-row Gauss-Jordan finds the rank the whole-row update does
+    assert _rref_rank(a, p) == rank_mod_dense(a, p)
 
 
 def test_rank_mod_below_rational_rank():
     # diag(1, p) has rank 2 over the rationals and rank 1 mod p
     p = la._primes(1)[0]
     a = int_matrix([[1, 0], [0, p]])
-    assert la._rank_mod(a, p) == rank_mod_dense(a, p) == 1
+    assert _rref_rank(a, p) == rank_mod_dense(a, p) == 1
     assert la.rank(a) == 2
 
 

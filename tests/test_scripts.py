@@ -71,6 +71,7 @@ def test_bad_option_exits_2(argv):
 @pytest.mark.parametrize("argv, code", [
     (["blowup_eigen_report.py", "--tiling", "/nonexistent.tiling"], 2),
     (["blowup_eigen_report.py", "--tiling", "MALFORMED"], 2),
+    (["blowup_eigen_report.py", "--tiling", "BINARY"], 2),
     (["blowup_eigen_report.py", "--tiling", "ROWS23"], 3),
     (["search_integral_tilings.py", "--m-min", "23", "--m-max", "23", "--count", "1"], 3),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
@@ -80,9 +81,13 @@ def test_script_errors_exit_without_traceback(argv, code, tmp_path):
     # ROWS23 has 23 rows: 529 cells, past char_poly's ceiling, and a spectrum
     # that is not integral (tests/test_cli.py checks that with numpy), so no
     # annihilation certificate gets it past the ceiling either
-    files = {"MALFORMED": "2\n0 0\n1 2\n", "ROWS23": render_tiling(random_tiling(23, 0))}
-    for name, text in files.items():
-        (tmp_path / f"{name}.tiling").write_text(text)
+    files = {
+        "MALFORMED": b"2\n0 0\n1 2\n",
+        "ROWS23": render_tiling(random_tiling(23, 0)).encode(),
+        "BINARY": b"\xff",  # not UTF-8
+    }
+    for name, data in files.items():
+        (tmp_path / f"{name}.tiling").write_bytes(data)
     proc = run(*(str(tmp_path / f"{a}.tiling") if a in files else a for a in argv))
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr

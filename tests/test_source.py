@@ -34,7 +34,8 @@ def test_no_assert_statements():
 
 def test_no_fractions_import():
     # exact linear algebra holds Python ints only; kernels and ranks come
-    # from fraction-free integer elimination
+    # from elimination mod primes, lifted by CRT and rational reconstruction
+    # to integer vectors, never from fractions
     found = []
     for path, tree in parsed_sources():
         for node in ast.walk(tree):

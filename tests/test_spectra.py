@@ -310,6 +310,15 @@ def test_inconsistent_trace_solve_raises(traces, monkeypatch):
         la.integral_spectrum(adjacency(classical_tiling(2)))
 
 
+def test_singular_trace_system_raises(monkeypatch):
+    # mod 2 the Shidoku eigenvalues -3, -1, 1, 3 and 7 all reduce to 1, so
+    # the Vandermonde system is singular: an internal error, not a
+    # traceback from the elimination
+    monkeypatch.setattr(la, "_certificate_primes", lambda n, rho, values: [2])
+    with pytest.raises(la.CertificateError, match="trace solve: singular mod 2"):
+        la.integral_spectrum(adjacency(classical_tiling(2)))
+
+
 def test_proposal_past_gershgorin_bound_falls_back(monkeypatch):
     # 7 + p, p the trace prime, is congruent to the eigenvalue 7 mod p, so
     # the Vandermonde system would be singular; |7 + p| > rho = 7 rejects it
