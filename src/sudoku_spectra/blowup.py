@@ -97,15 +97,36 @@ def subsquare_permutation(m: int, k: int) -> np.ndarray:
     return perm
 
 
+# rows of the direct graph built at a time in `reconcile`: it runs beside
+# the float oracle, so a band of a few tens of KB, not the whole bool
+# matrix, is what it adds to peak memory
+_BAND = 64
+
+
 def reconcile(t: Tiling, k: int, blown: np.ndarray) -> bool:
     """True iff the direct and Kronecker constructions agree.
 
-    Conjugates the directly built adjacency of the scaled tiling by the
-    subsquare permutation and compares with `blown`, the Kronecker-route
-    `blown_adjacency(t, k)`, entry for entry, both in int64.
-    This holds for every tiling; False signals an implementation bug.
+    Builds the direct graph of the scaled tiling in bool, already in
+    subsquare order: vertex s sits at big-grid cell perm[s], and two
+    vertices are adjacent iff they are distinct and share a row, a column
+    or a block of the scaled tiling.  It is compared with `blown`, the
+    Kronecker-route `blown_adjacency(t, k)`, shape first, then entry for
+    entry one band of _BAND rows at a time, so a missing edge, a doubled
+    one or a loop all differ.  This holds for every tiling; False signals
+    an implementation bug.
     """
-    direct = graph._adjacency_int64(blow_up_tiling(t, k))
+    big = blow_up_tiling(t, k)
     perm = subsquare_permutation(t.m, k)
-    reordered = direct[np.ix_(perm, perm)]
-    return bool(np.array_equal(reordered, blown))
+    n = perm.size
+    if blown.shape != (n, n):
+        return False
+    labels = (perm // big.m, perm % big.m, np.array(big.block_of)[perm])
+    for lo in range(0, n, _BAND):
+        hi = min(lo + _BAND, n)
+        direct = np.zeros((hi - lo, n), dtype=bool)
+        for label in labels:
+            direct |= label[lo:hi, None] == label
+        direct[np.arange(hi - lo), np.arange(lo, hi)] = False
+        if not np.array_equal(blown[lo:hi], direct):
+            return False
+    return True

@@ -13,15 +13,20 @@ N x N seed's eigenvector x and a k^2-vector w, one family per row of
 with lam the seed eigenvalue of x and y, z in ker(J_k).  With N cells in
 the original grid the families have sizes (k-1)N, (k-1)N, (k-1)^2 N and N,
 totalling k^2 N, and they are jointly independent; the largest eigenvalue
-always comes from XM.  `eigenvector_basis` gives each seed's eigenspaces
-(seeds up to 512 x 512, or larger ones proven integral): the integer eigenvalues and their exact integer
-bases come from `linalg.integer_eigenspaces`, where the characteristic
-polynomial mod one prime proposes candidates in the Gershgorin range and
-exact rational kernels decide them, so floats never decide which vectors
-are exact.  The non-integer eigenpairs live in the orthogonal complement
-of the exact vectors; `eigh` on that complement gives them, one vector
-each, flagged approximate and held to the float oracle's residual
-contract.
+always comes from XM.  The seeds of XV and XH have closed-form
+eigenspaces (`layer_eigenspaces`): each row of l_h, and each column of
+l_v, is a complete multipartite graph on the blocks it crosses, whose
+eigenvectors are differences inside a part (value 0), differences of equal
+parts (value -a) and one vector per root of a secular polynomial, which an
+exact integer scan decides.  M goes through `eigenvector_basis` (M up to
+512 x 512, or larger when proven integral): the integer eigenvalues and
+their exact integer bases come from `linalg.integer_eigenspaces`, where the
+characteristic polynomial mod one prime proposes candidates in the
+Gershgorin range and exact rational kernels decide them, so floats never
+decide which vectors are exact.  The non-integer eigenpairs live in the
+orthogonal complement of the exact vectors; `eigh` on that complement
+gives them, one vector each, flagged approximate and held to the float
+oracle's residual contract, as are the closed form's non-integer roots.
 
 A family is kept in factored form, its seed eigenspaces and its tails w,
 and `verify` proves the basis on those factors, never on the k^2 N blown
@@ -39,19 +44,21 @@ vectors:
   4. rank(X (x) W) = rank X * rank W, so each family's rank comes from its
      N x N seed stack X and its k^2-vector tails W.
 
-`verify` uses two threads.  On the calling thread every seed first passes
-its limits (`seed_candidates`: the size gate, then the scan cap or the
+`verify` uses two threads.  On the calling thread only the limit gate
+runs first (`seed_limits`: M's size and scan cap, and past 512 its
 annihilation certificate), so an input past a limit is refused before any
-dense work starts.  Then one worker thread builds the families and runs
-clauses 2-4 while the calling thread runs the float oracle, an `eigh` on
-the k^2 N blown matrix that spends most of its time in LAPACK with the GIL
-released.  A failed factor-level clause is reported ahead of an oracle
-error, so failures come in the order the clauses are listed in `verify`.
+blown matrix, kernel or oracle.  The calling thread then builds the blown
+matrix and runs the float oracle, an `eigh` on the k^2 N blown matrix that
+spends most of its time in LAPACK with the GIL released.  One worker
+thread meanwhile runs clause 1, then M's candidate scan, the families and
+clauses 2-4.  A failed worker clause is reported ahead of an oracle error,
+so failures come in the order the clauses are listed in `verify`.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
@@ -59,7 +66,7 @@ from itertools import combinations
 import numpy as np
 
 from . import graph, linalg, spectra
-from .blowup import blown_adjacency, substitution_set
+from .blowup import blown_adjacency, reconcile, substitution_set
 from .linalg import all_ones, identity, kron, unit_vector
 from .tiling import Tiling
 
@@ -70,7 +77,8 @@ __all__ = [
     "VerificationFailure",
     "kj_basis",
     "eigenvector_basis",
-    "seed_candidates",
+    "layer_eigenspaces",
+    "seed_limits",
     "build_families",
     "blowup_is_integral",
     "predicted_spectrum",
@@ -200,33 +208,141 @@ def eigenvector_basis(a, candidates: list[int] | None = None) -> list[EigenSpace
     return spaces
 
 
+def _line_parts(t: Tiling, axis: graph.Axis):
+    """For each grid row (axis "row") or column ("column"), the cells of
+    each block it crosses, ascending, the parts in order of their first
+    cell.  The line induces a complete multipartite graph on those parts
+    in l_h or l_v, and the layer is the disjoint union of the lines."""
+    m = t.m
+    for i in range(m):
+        cells = [i * m + j for j in range(m)] if axis == "row" else [j * m + i for j in range(m)]
+        parts: dict[int, list[int]] = {}
+        for c in cells:
+            parts.setdefault(t.block_of[c], []).append(c)
+        yield list(parts.values())
+
+
+def _secular_roots(counts: dict[int, int]) -> list[int | None]:
+    """The integer roots of g(x) = prod_a (x + a) - sum_a n_a a prod_{b != a}
+    (x + b) over the distinct part sizes a, n_a = counts[a] parts of each:
+    for each interval between consecutive -a, ascending, and then above
+    -a_min, the root g has there (exactly one: sum_a n_a a / (x + a) falls
+    from +inf to -inf, or to 0 on the last, and g = 0 where it is 1), or
+    None when it is not an integer.  Decided by evaluating g exactly at
+    every integer of the interval; the last one ends below n = sum n_a a,
+    which bounds every eigenvalue."""
+    sizes = sorted(counts, reverse=True)
+    u = [counts[a] * a for a in sizes]
+
+    def g(x: int) -> int:
+        factors = [x + a for a in sizes]
+        return math.prod(factors) - sum(
+            ua * math.prod(factors[:i] + factors[i + 1:]) for i, ua in enumerate(u)
+        )
+
+    ends = [-a for a in sizes] + [sum(u)]
+    return [next((x for x in range(lo + 1, hi) if g(x) == 0), None)
+            for lo, hi in zip(ends, ends[1:])]
+
+
+def _multipartite_pairs(parts: list[list[int]], n: int) -> list[tuple]:
+    """(value, vector, exact) for a basis of eigenvectors of the complete
+    multipartite graph whose parts are the index lists `parts` (ascending,
+    ordered by first index), as n-vectors zero off the parts:
+      - e_first - e_j inside each part, value 0;
+      - 1_{P_1} - 1_{P_j} over the parts P_1, P_2, ... of equal size a,
+        value -a;
+      - one vector per root lam of `_secular_roots`, prod_{b != a} (lam + b)
+        on every part of size a.
+    An integer root gives a primitive integer vector whose first nonzero
+    entry is positive.  Otherwise its value is the i-th eigenvalue of the
+    d x d matrix sqrt(u) sqrt(u)^T - diag(a), u_a = n_a a, which is g's i-th
+    root, and its vector is a unit float vector, flagged approximate."""
+    by_size: dict[int, list[list[int]]] = {}
+    for part in parts:
+        by_size.setdefault(len(part), []).append(part)
+    out = []
+
+    def difference(plus, minus):
+        vec = np.full(n, 0, dtype=object)
+        vec[plus], vec[minus] = 1, -1
+        return vec
+
+    for part in parts:
+        out.extend((0, difference(part[0], c), True) for c in part[1:])
+    for a, same in by_size.items():
+        out.extend((-a, difference(same[0], other), True) for other in same[1:])
+    sizes = sorted(by_size, reverse=True)
+    roots = _secular_roots({a: len(same) for a, same in by_size.items()})
+    if None in roots:
+        r = np.sqrt([len(by_size[a]) * a for a in sizes])
+        approx = np.linalg.eigvalsh(np.outer(r, r) - np.diag(np.array(sizes, dtype=float)))
+    for i, lam in enumerate(roots):
+        exact = lam is not None
+        if not exact:
+            lam = float(approx[i])
+        on = {a: math.prod(lam + b for b in sizes if b != a) for a in sizes}
+        vec = np.full(n, 0, dtype=object if exact else float)
+        for part in parts:
+            vec[part] = on[len(part)]
+        if exact:
+            vec //= math.gcd(*on.values()) * (1 if on[len(parts[0])] > 0 else -1)
+        else:
+            vec /= np.linalg.norm(vec)
+        out.append((lam, vec, exact))
+    return out
+
+
+def layer_eigenspaces(t: Tiling, axis: graph.Axis) -> list[EigenSpace]:
+    """Maximal independent eigenvector sets of l_h (axis "row") or l_v
+    ("column"), ascending by eigenvalue as from `eigenvector_basis`, in
+    closed form: each line is a complete multipartite graph on the blocks
+    it crosses (`_multipartite_pairs`).  No kernel, scan or size limit;
+    exact integer roots decide which vectors are exact."""
+    exact: dict[int, list[np.ndarray]] = {}
+    spaces = []
+    for parts in _line_parts(t, axis):
+        for lam, vec, is_exact in _multipartite_pairs(parts, t.n_cells):
+            if is_exact:
+                exact.setdefault(lam, []).append(vec)
+            else:
+                spaces.append(EigenSpace(lam, (vec,), False))
+    spaces.extend(EigenSpace(lam, tuple(vecs), True) for lam, vecs in exact.items())
+    spaces.sort(key=lambda s: (float(s.value), not s.exact))
+    return spaces
+
+
 def _family_table(t: Tiling, k: int) -> tuple:
-    """The blow-up structure theorem, one row per family: (kind, N x N seed
-    matrix or None for the unit-vector seeds of XE, the k^2-vectors each
-    seed eigenvector is tensored with, their eigenvalues (beta, eta, nu,
-    delta) under B, H, V and D, seed eigenvalue -> blow-up eigenvalue).
+    """The blow-up structure theorem, one row per family: (kind, seed, the
+    k^2-vectors each seed eigenvector is tensored with, their eigenvalues
+    (beta, eta, nu, delta) under B, H, V and D, seed eigenvalue -> blow-up
+    eigenvalue).  The seed is the axis of l_v or l_h for XV and XH, whose
+    eigenspaces have a closed form (`layer_eigenspaces`), None for the
+    unit-vector seeds of XE and the N x N matrix M for XM.
     """
     kj = kj_basis(k)
     ones_k = all_ones(k)
     d = graph.layers(t)
     return (
-        ("XV", d.l_v, [kron(ones_k, y) for y in kj], (0, 0, k, -1), lambda lam: lam * k - 1),
-        ("XH", d.l_h, [kron(y, ones_k) for y in kj], (0, k, 0, -1), lambda lam: lam * k - 1),
+        ("XV", "column", [kron(ones_k, y) for y in kj], (0, 0, k, -1), lambda lam: lam * k - 1),
+        ("XH", "row", [kron(y, ones_k) for y in kj], (0, k, 0, -1), lambda lam: lam * k - 1),
         ("XE", None, [kron(y, z) for y in kj for z in kj], (0, 0, 0, -1), lambda lam: -1),
         ("XM", k * k * d.l_b + k * d.l_h + k * d.l_v, [all_ones(k * k)],
          (k * k, k, k, k * k - 1), lambda lam: lam + k * k - 1),
     )
 
 
-def seed_candidates(t: Tiling, k: int) -> tuple:
-    """The rows of `_family_table`, each paired with the
-    `linalg.integer_candidates` of its seed, or None for XE and for empty
-    families, which need none.  Every seed's size and scan limits are
-    checked here, before any kernel."""
+def seed_limits(t: Tiling, k: int) -> tuple:
+    """The rows of `_family_table`, each paired with what the limit gate
+    found for its seed.  Only M has limits: its size and scan cap, and past
+    512 the annihilation certificate, whose eigenvalues are M's candidates
+    (`linalg._candidate_limits`).  None where there is nothing to carry:
+    XV, XH, XE, an empty XM, and an M whose scan is still to run."""
     out = []
     for row in _family_table(t, k):
         _, seed, tails, _, _ = row
-        out.append((row, linalg.integer_candidates(seed) if tails and seed is not None else None))
+        matrix = tails and isinstance(seed, np.ndarray)
+        out.append((row, linalg._candidate_limits(seed) if matrix else None))
     return tuple(out)
 
 
@@ -235,13 +351,16 @@ def build_families(
 ) -> tuple[EigenFamily, EigenFamily, EigenFamily, EigenFamily]:
     """Assemble the four eigenvector families of the k-fold blow-up, each
     as its seed eigenspaces (valued at the blow-up eigenvalue) and tails.
-    `seeds` is `seed_candidates(t, k)`, computed here when not given.
+    `seeds` is `seed_limits(t, k)`, computed here when not given.  XV and
+    XH take their seeds in closed form; M alone is scanned
+    (`linalg.integer_candidates`, unless the gate carried its candidates)
+    and sent through the exact kernels.
 
     For k = 1 the first three families are empty (ker(J_1) is trivial) and
     XM alone is a full eigenbasis of the original adjacency.
     """
     if seeds is None:
-        seeds = seed_candidates(t, k)
+        seeds = seed_limits(t, k)
     families = []
     for (kind, seed, tails, coefficients, to_blown), found in seeds:
         spaces: tuple[EigenSpace, ...] = ()
@@ -249,7 +368,11 @@ def build_families(
             if seed is None:  # XE: its eigenvalue map ignores the value
                 units = tuple(unit_vector(t.n_cells, i) for i in range(t.n_cells))
                 seed_spaces = [EigenSpace(0, units, True)]
+            elif isinstance(seed, str):
+                seed_spaces = layer_eigenspaces(t, seed)
             else:
+                if found is None:
+                    found = linalg.integer_candidates(seed)
                 seed_spaces = eigenvector_basis(seed, found)
             spaces = tuple(EigenSpace(to_blown(s.value), s.vectors, s.exact) for s in seed_spaces)
         families.append(EigenFamily(kind, spaces, tuple(tails), coefficients))
@@ -259,15 +382,22 @@ def build_families(
 def blowup_is_integral(t: Tiling, k: int) -> bool:
     """True iff the k-fold blow-up of t has an integral spectrum.
 
-    Decided on the N x N seeds of the nonempty families, never on the
-    k^2 N blown matrix: a seed eigenvalue lam is an algebraic integer, so
-    lam*k - 1 and lam + k^2 - 1 are integers iff lam is.
+    Decided on the seeds of the nonempty families, never on the k^2 N
+    blown matrix: a seed eigenvalue lam is an algebraic integer, so lam*k
+    - 1 and lam + k^2 - 1 are integers iff lam is.  l_v and l_h are
+    integral iff every secular root of every line is an integer
+    (`_secular_roots`); M's exact spectrum decides the rest.
     """
-    return all(
-        spectra.exact_spectrum(seed).is_integral
-        for _, seed, tails, _, _ in _family_table(t, k)
-        if tails and seed is not None
-    )
+    for _, seed, tails, _, _ in _family_table(t, k):
+        if not tails or seed is None:
+            continue
+        if isinstance(seed, str):
+            if any(None in _secular_roots(Counter(map(len, parts)))
+                   for parts in _line_parts(t, seed)):
+                return False
+        elif not spectra.exact_spectrum(seed).is_integral:
+            return False
+    return True
 
 
 def _predicted(families) -> tuple:
@@ -425,10 +555,12 @@ def _basis_rank(families, dim: int) -> int:
 
 
 def _factor_clauses(
-    t: Tiling, k: int, seeds: tuple, residual_tol: float
+    t: Tiling, k: int, blown: np.ndarray, seeds: tuple, residual_tol: float
 ) -> tuple[tuple[EigenFamily, ...], float, int]:
-    """The families and the two factor-level clauses: (families, largest
-    approximate residual, rank of the blown stack)."""
+    """Reconciliation, the families and the two factor-level clauses:
+    (families, largest approximate residual, rank of the blown stack)."""
+    if not reconcile(t, k, blown):
+        raise VerificationFailure("direct and Kronecker constructions differ")
     families = build_families(t, k, seeds)
     max_residual = _max_residual(
         families, graph.layers(t), substitution_set(k), t.n_cells, residual_tol
@@ -445,19 +577,23 @@ def verify(
 ) -> EigenBasisReport:
     """Verify the eigenbasis construction against the blown-up graph.
 
-    Checks, in order: every family vector is an eigenvector for its
-    predicted eigenvalue (exactly for integer-path vectors, within
-    residual_tol * ||A||_F * ||v|| for approximate ones; the first failing
-    vector in family order is named); the stacked family has full rank
-    (per family, exact integer rank when every seed vector is exact, an SVD
-    with a relative 1e-8 threshold otherwise); the largest predicted eigenvalue comes from
-    XM, is at least m*k^2 - 1 and matches the oracle maximum; and the
-    predicted multiset -- the families' eigenvalues -- matches the float
-    oracle pairwise within spectrum_tol.  Raises VerificationFailure naming
-    the first violated clause.  `blown`, when given, must be
-    `blown_adjacency(t, k)`: only the float oracle reads it.
+    Checks, in order: `blowup.reconcile` ties the directly built graph to
+    the Kronecker-route blown matrix (a failure's clause is the whole
+    message, "direct and Kronecker constructions differ"); every family
+    vector is an eigenvector for its predicted eigenvalue (exactly for
+    integer-path vectors, within residual_tol * ||A||_F * ||v|| for
+    approximate ones; the first failing vector in family order is named);
+    the stacked family has full rank (per family, exact integer rank when
+    every seed vector is exact, an SVD with a relative 1e-8 threshold
+    otherwise); the largest predicted eigenvalue comes from XM, is at least
+    m*k^2 - 1 and matches the oracle maximum; and the predicted multiset --
+    the families' eigenvalues -- matches the float oracle pairwise within
+    spectrum_tol.  Raises VerificationFailure naming the first violated
+    clause.  `blown`, when given, must be `blown_adjacency(t, k)`; it is
+    built here otherwise.
 
-    The first two clauses never form a k^2 N-vector.  The proof chain:
+    The eigenvector and rank clauses never form a k^2 N-vector.  The proof
+    chain:
     - `blowup.reconcile` ties the graph built directly from the blown-up
       tiling to blown_adjacency(t, k) = l_b (x) B + l_h (x) H + l_v (x) V
       + I (x) D;
@@ -480,21 +616,24 @@ def verify(
     rounds, whatever order BLAS sums in.  Past the bound each vector is
     checked on the object array.
 
-    Every seed passes its size and scan limits (`seed_candidates`) before
-    the float oracle starts.  The families and the two factor-level
-    clauses then run on one worker thread while the calling thread runs
-    the oracle; both are joined before the spectrum clauses.  When both
-    fail, the factor-level clause's VerificationFailure is raised, not the
-    oracle's ConvergenceError.
+    Threads: the calling thread first runs the limit gate (`seed_limits`:
+    M's size and scan cap, and past 512 its annihilation certificate), so
+    an input past a limit is refused before any blown matrix, kernel or
+    oracle.  It then builds the blown matrix and runs the float oracle,
+    while one worker thread runs `reconcile`, M's candidate scan, the
+    families (XV and XH in closed form) and the two factor-level clauses;
+    both are joined before the spectrum clauses.  When both fail, the
+    worker's VerificationFailure is raised, not the oracle's
+    ConvergenceError, so failures come in the order listed above.
     """
-    seeds = seed_candidates(t, k)
+    seeds = seed_limits(t, k)
+    up_a = blown_adjacency(t, k) if blown is None else blown
     with ThreadPoolExecutor(max_workers=1) as pool:
-        clauses = pool.submit(_factor_clauses, t, k, seeds, residual_tol)
+        clauses = pool.submit(_factor_clauses, t, k, up_a, seeds, residual_tol)
         try:
-            up_a = blown_adjacency(t, k) if blown is None else blown
             oracle = tuple(linalg.float_eigen(up_a))
         except Exception:
-            clauses.result()  # a failed factor-level clause is reported first
+            clauses.result()  # a failed worker clause is reported first
             raise
         families, max_residual, total_rank = clauses.result()
 

@@ -877,16 +877,34 @@ def integer_candidates(a) -> list[int]:
 
 def _candidates(a: np.ndarray) -> list[int]:
     """`integer_candidates` of an a already checked to be symmetric ints."""
+    certified = _candidate_limits(a)
+    if certified is not None:
+        return certified
+    return _scanned_candidates(a) if a.shape[0] else []
+
+
+def _candidate_limits(a: np.ndarray) -> list[int] | None:
+    """The limits of `integer_candidates`, checked without its scan, for an
+    a already checked to be symmetric ints.  Past n = 512, the eigenvalues
+    of a spectrum `integral_spectrum` proves integral (DimensionMismatch
+    when it does not); up to 512, None once the scan of 2 rho + 1 integers
+    is within _EIGEN_SCAN_LIMIT (CandidateLimitError otherwise)."""
     n = a.shape[0]
-    if n <= 512:
-        return _scanned_candidates(a) if n else []
-    certified = integral_spectrum(a)
-    if certified is None:
-        raise DimensionMismatch(
-            f"integer_eigenspaces supports n <= 512 unless the spectrum is proven integral, "
-            f"got {n}"
+    if n > 512:
+        certified = integral_spectrum(a)
+        if certified is None:
+            raise DimensionMismatch(
+                f"integer_eigenspaces supports n <= 512 unless the spectrum is proven integral, "
+                f"got {n}"
+            )
+        return [lam for lam, _ in certified]
+    rho = gershgorin_bound(a) if n else 0
+    if 2 * rho + 1 > _EIGEN_SCAN_LIMIT:
+        raise CandidateLimitError(
+            f"integer_eigenspaces: {2 * rho + 1} integers in [-{rho}, {rho}] to scan, "
+            f"more than {_EIGEN_SCAN_LIMIT}"
         )
-    return [lam for lam, _ in certified]
+    return None
 
 
 def integer_eigenspaces(
@@ -916,13 +934,8 @@ def integer_eigenspaces(
 
 def _scanned_candidates(a: np.ndarray) -> list[int]:
     """The integers lam of [-rho, rho] with chi(lam) = 0 mod _SCAN_PRIME,
-    ascending; a is n x n with 0 < n <= 512."""
+    ascending; a is n x n with 0 < n <= 512 and passed `_candidate_limits`."""
     rho = gershgorin_bound(a)
-    if 2 * rho + 1 > _EIGEN_SCAN_LIMIT:
-        raise CandidateLimitError(
-            f"integer_eigenspaces: {2 * rho + 1} integers in [-{rho}, {rho}] to scan, "
-            f"more than {_EIGEN_SCAN_LIMIT}"
-        )
     p = _SCAN_PRIME
     chi = _charpoly_mod((_for_residues(a) % p).astype(np.int64, copy=False), p)
     value = _horner_mod(chi.tolist(), np.arange(-rho, rho + 1, dtype=np.int64) % p, p)

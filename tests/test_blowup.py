@@ -91,12 +91,18 @@ def test_reconcile_cases(freeform4):
         assert reconcile(t, k, blown_adjacency(t, k))
 
 
-@pytest.mark.parametrize("change", ["flip", "double"])
+@pytest.mark.parametrize("change", ["flip", "double", "loop", "shape"])
 def test_reconcile_rejects_changed_entry(freeform4, change):
-    # bit for bit: a missing edge, and an edge counted twice
+    # bit for bit: a missing edge, an edge counted twice, a 1 on the
+    # diagonal, and a matrix one vertex short whose entries all agree
     blown = blown_adjacency(freeform4, 2)
     i, j = np.argwhere(blown == 1)[0]
-    blown[i, j] = blown[j, i] = 0 if change == "flip" else 2
+    if change == "loop":
+        blown[i, i] = 1
+    elif change == "shape":
+        blown = blown[:-1, :-1]
+    else:
+        blown[i, j] = blown[j, i] = 0 if change == "flip" else 2
     assert not reconcile(freeform4, 2, blown)
 
 

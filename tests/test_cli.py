@@ -234,7 +234,8 @@ def test_blowup_verify_constructions_differ_exits_4(classical2_file, monkeypatch
 
     monkeypatch.setattr(blowup_mod, "blown_adjacency", one_edge_off)
     assert main(["blowup", classical2_file, "--k", "2", "--verify"]) == 4
-    assert "constructions differ" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        "verification failed: direct and Kronecker constructions differ\n"
 
 
 @pytest.mark.parametrize("extra", [[], ["--matrix-out", "m.txt"]], ids=["verify", "verify+matrix"])

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sudoku_spectra import eigenbasis as eigenbasis_mod
@@ -15,6 +15,7 @@ from sudoku_spectra.eigenbasis import (
     build_families,
     eigenvector_basis,
     kj_basis,
+    layer_eigenspaces,
     predicted_spectrum,
     verify,
 )
@@ -142,6 +143,68 @@ def test_eigenvector_basis_matches_exact_spectrum_on_seeds(t, k):
         assert tuple(exact) == spectrum.integer_part
         assert sum(not s.exact for s in spaces) == spectrum.residual_degree
         assert all(s.dim == 1 for s in spaces if not s.exact)
+
+
+@given(tilings(min_m=1, max_m=9), st.sampled_from(["row", "column"]))
+@settings(max_examples=20, deadline=None)
+def test_layer_eigenspaces_match_eigenvector_basis(t, axis):
+    # the closed form against the kernels: the same exact eigenvalues with
+    # the same dimensions and spans, Python-int entries, and the same
+    # approximate values, one vector each
+    layer = layers(t).l_h if axis == "row" else layers(t).l_v
+    closed, kernel = layer_eigenspaces(t, axis), eigenvector_basis(layer)
+    exact = [s for s in closed if s.exact]
+    assert [(s.value, s.dim) for s in exact] == [(s.value, s.dim) for s in kernel if s.exact]
+    for s, ref in zip(exact, (s for s in kernel if s.exact)):
+        assert all(type(x) is int for vec in s.vectors for x in vec)
+        assert la.rank(np.array(s.vectors + ref.vectors, dtype=object)) == s.dim
+    approx = [s for s in closed if not s.exact]
+    ref_approx = [s for s in kernel if not s.exact]
+    assert all(s.dim == 1 for s in approx) and len(approx) == len(ref_approx)
+    tol = 1e-8 * np.linalg.norm(np.asarray(layer, dtype=float))
+    for s, ref in zip(approx, ref_approx):
+        assert abs(s.value - ref.value) <= tol
+
+
+def _parts(sizes):
+    """Consecutive index blocks of the given sizes."""
+    starts = np.cumsum([0] + sizes)
+    return [list(range(starts[i], starts[i + 1])) for i in range(len(sizes))]
+
+
+@pytest.mark.parametrize("sizes", [
+    [3],             # a single part: a zero row
+    [4, 1],          # K_{1,4}: roots +-2, exact
+    [1, 3],          # K_{1,3}: roots +-sqrt 3, approximate
+    [2, 2, 2],
+    [1],             # m = 1
+    [4, 1, 2, 1],    # secular roots -3 and (3 +- sqrt 41) / 2
+], ids=["one-part", "K14", "K13", "K222", "m1", "mixed"])
+def test_multipartite_pairs_match_charpoly(sizes):
+    # the exact values are the integer roots of the characteristic
+    # polynomial with their multiplicities, the approximate ones its other
+    # roots; every vector is an eigenvector (exactly, primitive and
+    # sign-normalised, or within the residual contract) and together they
+    # span the whole space
+    from sudoku_spectra.spectra import multipartite_charpoly
+
+    n = sum(sizes)
+    parts = _parts(sizes)
+    pairs = eigenbasis_mod._multipartite_pairs(parts, n)
+    roots, residual = la.integer_roots(multipartite_charpoly(sizes), max_abs_root=n)
+    values = sorted(lam for lam, _, exact in pairs if exact)
+    assert [(lam, values.count(lam)) for lam in sorted(set(values))] == roots
+    approx = sorted(lam for lam, _, exact in pairs if not exact)
+    assert np.allclose(approx, sorted(np.roots(residual[::-1]).real), atol=1e-12)
+    part_of = [i for i, part in enumerate(parts) for _ in part]
+    a = int_matrix([[int(p != q) for q in part_of] for p in part_of])
+    for lam, vec, exact in pairs:
+        if exact:
+            assert all(type(x) is int for x in vec) and not np.any(a @ vec - lam * vec)
+            assert math.gcd(*vec) == 1 and vec[np.flatnonzero(vec)[0]] > 0
+        else:
+            assert np.linalg.norm(a.astype(float) @ vec - lam * vec) < 1e-12
+    assert np.linalg.matrix_rank(np.array([vec for _, vec, _ in pairs], dtype=float)) == n
 
 
 def test_family_sizes_m2():
@@ -325,6 +388,21 @@ def test_blowup_is_integral_matches_blown_spectrum(t, k):
     assume(k * k * t.n_cells <= 512)
     expected = exact_spectrum(blown_adjacency(t, k)).is_integral
     assert blowup_is_integral(t, k) == expected
+
+
+@given(tilings(min_m=1, max_m=9), st.integers(1, 3))
+@settings(max_examples=15, deadline=None)
+@example(classical_tiling(3), 2)
+@example(row_tiling(3), 3)
+def test_blowup_is_integral_matches_seed_spectra(t, k):
+    # the secular roots decide l_v and l_h as their exact spectra do
+    d = layers(t)
+    for axis, layer in (("column", d.l_v), ("row", d.l_h)):
+        integral = all(s.exact for s in layer_eigenspaces(t, axis))
+        assert integral == exact_spectrum(layer).is_integral
+    seeds = [d.l_v, d.l_h] if k > 1 else []
+    seeds.append(k * k * d.l_b + k * d.l_h + k * d.l_v)
+    assert blowup_is_integral(t, k) == all(exact_spectrum(s).is_integral for s in seeds)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -677,6 +755,8 @@ def test_build_families_match_vectorwise_kron(t, k):
         fam = next(f for f in families if f.kind == kind)
         if seed is None:
             xs = [la.unit_vector(t.n_cells, i) for i in range(t.n_cells)] if tails else []
+        elif isinstance(seed, str):  # XV and XH: the closed-form layer seeds
+            xs = [x for space in layer_eigenspaces(t, seed) for x in space.vectors]
         else:
             xs = [x for space in eigenvector_basis(seed) for x in space.vectors]
         expected = [la.kron(x, w) for x in xs for w in tails]
@@ -788,3 +868,53 @@ def test_limits_are_checked_before_the_oracle(monkeypatch):
                        match="n <= 512 unless the spectrum is proven integral, got 529"):
         verify(random_tiling(23, 0), 2)
     assert calls == []
+
+
+def _one_edge_off(t, k):
+    a = blown_adjacency(t, k)
+    a[0, 1] = a[1, 0] = 1 - a[0, 1]
+    return a
+
+
+def test_verify_without_blown_reconciles(monkeypatch):
+    # verify builds the blown matrix itself and still reconciles it
+    monkeypatch.setattr(eigenbasis_mod, "blown_adjacency", _one_edge_off)
+    with pytest.raises(VerificationFailure) as info:
+        verify(classical_tiling(2), 2)
+    assert str(info.value) == "direct and Kronecker constructions differ"
+
+
+@pytest.mark.parametrize("factor, oracle", [(True, False), (False, True), (True, True)],
+                         ids=["factor", "oracle", "both"])
+def test_reconcile_failure_outranks_the_rest(factor, oracle, monkeypatch):
+    # reconcile is the worker's first clause: its failure is reported ahead
+    # of a failing factor-level clause and of an oracle error
+    t = classical_tiling(2)
+    families = build_families(t, 2)
+    if factor:
+        families = _with_seed(families, "XV", 0, _off_by_one)
+    if oracle:
+        monkeypatch.setattr(la, "float_eigen", _failing_oracle)
+    with pytest.raises(VerificationFailure) as info:
+        _verify_with(monkeypatch, t, 2, families, blown=_one_edge_off(t, 2))
+    assert str(info.value) == "direct and Kronecker constructions differ"
+
+
+def test_only_m_is_scanned_and_kernelled(monkeypatch):
+    # classical n=3, k=3: XV and XH take their seeds in closed form, so the
+    # candidate scan and the exact kernels see M alone
+    t = classical_tiling(3)
+    seen = []
+    for name in ("integer_candidates", "rational_kernel"):
+        real = getattr(la, name)
+
+        def recorded(a, *args, _real=real, _name=name):
+            seen.append((_name, a))
+            return _real(a, *args)
+
+        monkeypatch.setattr(la, name, recorded)
+    verify(t, 3)
+    d = layers(t)
+    m = 9 * d.l_b + 3 * d.l_h + 3 * d.l_v
+    assert {name for name, _ in seen} == {"integer_candidates", "rational_kernel"}
+    assert all(np.array_equal(a, m) for _, a in seen)
