@@ -30,29 +30,8 @@ oracle's residual contract, as are the closed form's non-integer roots.
 
 A family is kept in factored form, its seed eigenspaces and its tails w,
 and `verify` proves the basis on those factors, never on the k^2 N blown
-vectors:
-  1. `blowup.reconcile` ties the directly built graph of the blown-up
-     tiling to blown = l_b (x) B + l_h (x) H + l_v (x) V + I (x) D;
-  2. each tail satisfies B w = beta w, H w = eta w, V w = nu w and
-     D w = delta w, with (beta, eta, nu, delta) = (0, 0, k, -1) for XV,
-     (0, k, 0, -1) for XH, (0, 0, 0, -1) for XE and (k^2, k, k, k^2 - 1)
-     for XM, so by the mixed-product rule blown (x (x) w) = (E x) (x) w
-     for E = beta l_b + eta l_h + nu l_v + delta I, and an N x N check
-     E x = mu x makes x (x) w an eigenvector;
-  3. tails of different families are orthogonal, hence so are their blown
-     vectors, and the rank of the whole stack is the sum over families;
-  4. rank(X (x) W) = rank X * rank W, so each family's rank comes from its
-     N x N seed stack X and its k^2-vector tails W.
-
-`verify` uses two threads.  On the calling thread only the limit gate
-runs first (`seed_limits`: M's size and scan cap, and past 512 its
-annihilation certificate), so an input past a limit is refused before any
-blown matrix, kernel or oracle.  The calling thread then builds the blown
-matrix and runs the float oracle, an `eigh` on the k^2 N blown matrix that
-spends most of its time in LAPACK with the GIL released.  One worker
-thread meanwhile runs clause 1, then M's candidate scan, the families and
-clauses 2-4.  A failed worker clause is reported ahead of an oracle error,
-so failures come in the order the clauses are listed in `verify`.
+vectors; its docstring states the proof chain, the clause order and which
+thread runs what.
 """
 
 from __future__ import annotations
@@ -78,7 +57,6 @@ __all__ = [
     "kj_basis",
     "eigenvector_basis",
     "layer_eigenspaces",
-    "seed_limits",
     "build_families",
     "blowup_is_integral",
     "predicted_spectrum",
@@ -120,7 +98,7 @@ class EigenFamily:
     is an eigenvector of B, H, V and D (`blowup.substitution_set`) for
     `coefficients` = (beta, eta, nu, delta), and each space is an
     eigenspace of beta l_b + eta l_h + nu l_v + delta I whose value is the
-    blown eigenvalue.  `vectors` expands the blown vectors on demand.
+    blown eigenvalue.
     """
 
     kind: str
@@ -138,17 +116,6 @@ class EigenFamily:
     @property
     def exact(self) -> tuple[bool, ...]:
         return tuple(s.exact for s in self.spaces for _ in range(s.dim * len(self.tails)))
-
-    @property
-    def vectors(self) -> tuple[np.ndarray, ...]:
-        ws = np.array(self.tails, dtype=object)
-        out = []
-        for space in self.spaces:
-            # row (a, b) is kron(x_a, w_b)
-            xs = np.array(space.vectors, dtype=object)
-            count = len(xs) * len(ws)
-            out.extend((xs[:, None, :, None] * ws[None, :, None, :]).reshape(count, -1))
-        return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,23 +149,22 @@ def kj_basis(k: int) -> list[np.ndarray]:
     return out
 
 
-def eigenvector_basis(a, candidates: list[int] | None = None) -> list[EigenSpace]:
+def eigenvector_basis(a) -> list[EigenSpace]:
     """Maximal independent eigenvector sets of a symmetric integer matrix,
     ascending by eigenvalue.
 
     Every integer eigenvalue gets its exact rational-kernel basis from
     `linalg.integer_eigenspaces` (n <= 512, or any n with a spectrum proven
-    integral), which alone decides which eigenvalues are exact;
-    `candidates`, when given, is `linalg.integer_candidates(a)`, computed
-    beforehand.  The orthogonal complement of those vectors is
-    invariant under a and holds the non-integer eigenpairs; the float
-    oracle's `eigh` on it gives them, one vector each, flagged approximate
-    and held to its residual contract.  The union spans the whole space.
+    integral), which alone decides which eigenvalues are exact.  The
+    orthogonal complement of those vectors is invariant under a and holds
+    the non-integer eigenpairs; the float oracle's `eigh` on it gives them,
+    one vector each, flagged approximate and held to its residual contract.
+    The union spans the whole space.
     """
     a = linalg._require_symmetric(a)
     spaces = [
         EigenSpace(lam, tuple(sorted(vecs, key=tuple)), True)
-        for lam, vecs in linalg.integer_eigenspaces(a, candidates)
+        for lam, vecs in linalg.integer_eigenspaces(a)
     ]
     exact = [x for s in spaces for x in s.vectors]
     if len(exact) < a.shape[0]:
@@ -332,37 +298,17 @@ def _family_table(t: Tiling, k: int) -> tuple:
     )
 
 
-def seed_limits(t: Tiling, k: int) -> tuple:
-    """The rows of `_family_table`, each paired with what the limit gate
-    found for its seed.  Only M has limits: its size and scan cap, and past
-    512 the annihilation certificate, whose eigenvalues are M's candidates
-    (`linalg._candidate_limits`).  None where there is nothing to carry:
-    XV, XH, XE, an empty XM, and an M whose scan is still to run."""
-    out = []
-    for row in _family_table(t, k):
-        _, seed, tails, _, _ = row
-        matrix = tails and isinstance(seed, np.ndarray)
-        out.append((row, linalg._candidate_limits(seed) if matrix else None))
-    return tuple(out)
-
-
-def build_families(
-    t: Tiling, k: int, seeds: tuple | None = None
-) -> tuple[EigenFamily, EigenFamily, EigenFamily, EigenFamily]:
+def build_families(t: Tiling, k: int) -> tuple[EigenFamily, EigenFamily, EigenFamily, EigenFamily]:
     """Assemble the four eigenvector families of the k-fold blow-up, each
     as its seed eigenspaces (valued at the blow-up eigenvalue) and tails.
-    `seeds` is `seed_limits(t, k)`, computed here when not given.  XV and
-    XH take their seeds in closed form; M alone is scanned
-    (`linalg.integer_candidates`, unless the gate carried its candidates)
-    and sent through the exact kernels.
+    XV and XH take their seeds in closed form; M alone goes through
+    `eigenvector_basis`, its candidate scan and exact kernels.
 
     For k = 1 the first three families are empty (ker(J_1) is trivial) and
     XM alone is a full eigenbasis of the original adjacency.
     """
-    if seeds is None:
-        seeds = seed_limits(t, k)
     families = []
-    for (kind, seed, tails, coefficients, to_blown), found in seeds:
+    for kind, seed, tails, coefficients, to_blown in _family_table(t, k):
         spaces: tuple[EigenSpace, ...] = ()
         if tails:
             if seed is None:  # XE: its eigenvalue map ignores the value
@@ -371,9 +317,7 @@ def build_families(
             elif isinstance(seed, str):
                 seed_spaces = layer_eigenspaces(t, seed)
             else:
-                if found is None:
-                    found = linalg.integer_candidates(seed)
-                seed_spaces = eigenvector_basis(seed, found)
+                seed_spaces = eigenvector_basis(seed)
             spaces = tuple(EigenSpace(to_blown(s.value), s.vectors, s.exact) for s in seed_spaces)
         families.append(EigenFamily(kind, spaces, tuple(tails), coefficients))
     return tuple(families)  # type: ignore[return-value]
@@ -414,107 +358,55 @@ def predicted_spectrum(t: Tiling, k: int) -> tuple:
     return _predicted(build_families(t, k))
 
 
-def _as_float(vec: np.ndarray) -> np.ndarray:
-    return np.asarray(vec, dtype=float)
-
-
-# Integer products are exact in float64 while every partial sum stays below
-# 2**53 (the FFLAS-FFPACK technique: Dumas, Giorgi, Pernet, ACM TOMS 35(3),
-# 2008).  A family's exact seed vectors are checked in one such product.
-
-
-def _fits_float64(row_sum: int, mu_max: int, v_max: int) -> bool:
-    """True when a @ V - V * diag(mu) is exact in float64 for an integer
-    matrix a with max_i sum_j |a_ij| = row_sum, integer vectors V with
-    entries at most v_max and integer eigenvalues at most mu_max in size:
-    every entry, partial sum and difference is an integer of size at most
-    (row_sum + mu_max) * v_max, so none rounds below 2**53."""
-    return (row_sum + mu_max) * v_max < linalg._FLOAT64_EXACT
-
-
-def _inexact(e: np.ndarray, vecs, mus) -> np.ndarray:
-    """Mask of the integer vectors with e @ vec != mu * vec: one float64
-    product when `_fits_float64` proves it exact, vector by vector on the
-    object array otherwise."""
-    row_sum = int(np.abs(e).sum(axis=1).max())
-    v_max = max(int(np.abs(vec).max()) for vec in vecs)
-    if _fits_float64(row_sum, max(abs(m) for m in mus), v_max):
-        v = np.array(vecs, dtype=float).T
-        return np.any(e.astype(float) @ v != v * np.array(mus, dtype=float), axis=0)
-    return np.array([
-        bool(np.any(e[:, vec != 0] @ vec[vec != 0] != m * vec)) for vec, m in zip(vecs, mus)
-    ])
-
-
-def _blown_frobenius(d, subs, n: int) -> float:
-    """||blown||_F from the factors.  The four Kronecker terms of blown
-    have disjoint supports (the layers are disjoint with zero diagonals), so
-    ||blown||_F^2 = sum ||L||_F^2 ||S||_F^2 over (l_b, B), (l_h, H), (l_v, V)
-    and (I, D)."""
-    def sq(mat):
-        return int((mat * mat).sum())
-
-    return math.sqrt(
-        sq(d.l_b) * sq(subs.b) + sq(d.l_h) * sq(subs.h) + sq(d.l_v) * sq(subs.v)
-        + n * sq(subs.d)
-    )
-
-
-def _bad_tail(fam: EigenFamily, subs) -> str | None:
-    """Names the family's first tail w and factor S with S w != c w for its
-    coefficient c, or None."""
+def _check_tails(fam: EigenFamily, subs) -> None:
+    """Raise unless S w = c w for every tail w of the family and every
+    factor S of B, H, V, D with its coefficient c; names the first tail and
+    factor that fail."""
     for j, w in enumerate(fam.tails):
         for name, mat, c in zip("BHVD", (subs.b, subs.h, subs.v, subs.d), fam.coefficients):
             if np.any(mat @ w != c * w):
-                return f"{fam.kind} tail {j}: {name} w != {c} w"
-    return None
+                raise VerificationFailure(
+                    "eigenvector-residual", f"{fam.kind} tail {j}: {name} w != {c} w"
+                )
 
 
-def _seed_operator(d, coefficients, n: int) -> np.ndarray:
-    """beta l_b + eta l_h + nu l_v + delta I, exact."""
-    beta, eta, nu, delta = coefficients
-    return beta * d.l_b + eta * d.l_h + nu * d.l_v + delta * identity(n)
-
-
-def _max_residual(families, d, subs, n: int, residual_tol: float) -> float:
+def _max_residual(families, d, subs, fro: float) -> float:
     """Eigenvector clause, at the factor level: raise unless every tail
-    passes `_bad_tail` and every seed vector x of a space valued mu has
+    passes `_check_tails` and every seed vector x of a space valued mu has
     E x = mu x, E = beta l_b + eta l_h + nu l_v + delta I the family's N x N
     operator; then every blown vector x (x) w is an eigenvector (see
-    `verify`).  Exact seeds must satisfy it exactly, approximate ones within
-    residual_tol * ||blown||_F * ||x (x) w||, and the residual of x (x) w is
-    ||(E - mu) x|| * ||w||.  Returns the largest residual of an approximate
-    blown vector (0.0 when all are exact).  Families, then seed vectors, are
-    checked in order, and the first failure is named; a failing seed vector
-    is named as its first blown vector is."""
-    fro = _blown_frobenius(d, subs, n)
+    `verify`).  Exact seeds must satisfy it exactly (`linalg.eigen_mismatch`),
+    approximate ones within linalg.RESIDUAL_TOL * fro * ||x (x) w||, fro =
+    ||blown||_F, and the residual of x (x) w is ||(E - mu) x|| * ||w||.
+    Returns the largest residual of an approximate blown vector (0.0 when
+    all are exact).  Families, then seed vectors, are checked in order, and
+    the first failure is named; a failing seed vector is named as its first
+    blown vector is."""
+    n = d.l_b.shape[0]
     max_residual = 0.0
     for fam in families:
         if not len(fam):
             continue
-        bad_tail = _bad_tail(fam, subs)
-        if bad_tail is not None:
-            raise VerificationFailure("eigenvector-residual", bad_tail)
-        e = _seed_operator(d, fam.coefficients, n)
+        _check_tails(fam, subs)
+        beta, eta, nu, delta = fam.coefficients
+        e = beta * d.l_b + eta * d.l_h + nu * d.l_v + delta * identity(n)
         e_f = e.astype(float)
-        w_norms = [float(np.linalg.norm(_as_float(w))) for w in fam.tails]
+        w_norms = [float(np.linalg.norm(np.asarray(w, dtype=float))) for w in fam.tails]
         seeds = [(x, s.value, s.exact) for s in fam.spaces for x in s.vectors]
-        exact_at = [i for i, seed in enumerate(seeds) if seed[2]]
-        bad = set()
-        if exact_at:
-            mask = _inexact(e, [seeds[i][0] for i in exact_at], [seeds[i][1] for i in exact_at])
-            bad = {exact_at[i] for i in np.flatnonzero(mask)}
-        for i, (x, mu, exact) in enumerate(seeds):
-            if exact:
-                if i in bad:
+        exact = [(x, mu) for x, mu, is_exact in seeds if is_exact]
+        # one exact check for all of the family's exact seeds, read in order
+        mismatch = iter(linalg.eigen_mismatch(e, *zip(*exact)) if exact else ())
+        for x, mu, is_exact in seeds:
+            if is_exact:
+                if next(mismatch):
                     raise VerificationFailure(
                         "eigenvector-residual", f"{fam.kind} vector for eigenvalue {mu} is not exact"
                     )
                 continue
-            xf = _as_float(x)
+            xf = np.asarray(x, dtype=float)
             r = float(np.linalg.norm(e_f @ xf - mu * xf))
             res = r * w_norms[0]
-            allowed = residual_tol * fro * float(np.linalg.norm(xf)) * w_norms[0]
+            allowed = linalg.RESIDUAL_TOL * fro * float(np.linalg.norm(xf)) * w_norms[0]
             if res > allowed:
                 raise VerificationFailure(
                     "eigenvector-residual",
@@ -530,7 +422,7 @@ def _seed_rank(fam: EigenFamily) -> int:
     xs = [x for s in fam.spaces for x in s.vectors]
     if all(s.exact for s in fam.spaces):
         return linalg.rank(xs)
-    sing = np.linalg.svd(np.array([_as_float(x) for x in xs]), compute_uv=False)
+    sing = np.linalg.svd(np.array(xs, dtype=float), compute_uv=False)
     return int(np.sum(sing > 1e-8 * sing[0]))
 
 
@@ -555,40 +447,38 @@ def _basis_rank(families, dim: int) -> int:
 
 
 def _factor_clauses(
-    t: Tiling, k: int, blown: np.ndarray, seeds: tuple, residual_tol: float
+    t: Tiling, k: int, blown: np.ndarray
 ) -> tuple[tuple[EigenFamily, ...], float, int]:
     """Reconciliation, the families and the two factor-level clauses:
     (families, largest approximate residual, rank of the blown stack)."""
     if not reconcile(t, k, blown):
         raise VerificationFailure("direct and Kronecker constructions differ")
-    families = build_families(t, k, seeds)
-    max_residual = _max_residual(
-        families, graph.layers(t), substitution_set(k), t.n_cells, residual_tol
-    )
+    # reconciled, blown is a 0/1 adjacency, so ||blown||_F^2 counts its ones
+    fro = math.sqrt(np.count_nonzero(blown))
+    families = build_families(t, k)
+    max_residual = _max_residual(families, graph.layers(t), substitution_set(k), fro)
     return families, max_residual, _basis_rank(families, k * k * t.n_cells)
 
 
-def verify(
-    t: Tiling,
-    k: int,
-    residual_tol: float = 1e-8,
-    spectrum_tol: float = 1e-6,
-    blown: np.ndarray | None = None,
-) -> EigenBasisReport:
+# predicted and oracle eigenvalues must agree this closely; read at call time
+_SPECTRUM_TOL = 1e-6
+
+
+def verify(t: Tiling, k: int, blown: np.ndarray | None = None) -> EigenBasisReport:
     """Verify the eigenbasis construction against the blown-up graph.
 
     Checks, in order: `blowup.reconcile` ties the directly built graph to
     the Kronecker-route blown matrix (a failure's clause is the whole
     message, "direct and Kronecker constructions differ"); every family
     vector is an eigenvector for its predicted eigenvalue (exactly for
-    integer-path vectors, within residual_tol * ||A||_F * ||v|| for
+    integer-path vectors, within linalg.RESIDUAL_TOL * ||A||_F * ||v|| for
     approximate ones; the first failing vector in family order is named);
     the stacked family has full rank (per family, exact integer rank when
     every seed vector is exact, an SVD with a relative 1e-8 threshold
     otherwise); the largest predicted eigenvalue comes from XM, is at least
     m*k^2 - 1 and matches the oracle maximum; and the predicted multiset --
     the families' eigenvalues -- matches the float oracle pairwise within
-    spectrum_tol.  Raises VerificationFailure naming the first violated
+    _SPECTRUM_TOL.  Raises VerificationFailure naming the first violated
     clause.  `blown`, when given, must be `blown_adjacency(t, k)`; it is
     built here otherwise.
 
@@ -597,10 +487,15 @@ def verify(
     - `blowup.reconcile` ties the graph built directly from the blown-up
       tiling to blown_adjacency(t, k) = l_b (x) B + l_h (x) H + l_v (x) V
       + I (x) D;
-    - by the mixed-product rule, if B w = beta w, H w = eta w, V w = nu w
-      and D w = delta w, then blown (x (x) w) = (E x) (x) w with E = beta
-      l_b + eta l_h + nu l_v + delta I, so E x = mu x makes x (x) w an
-      eigenvector for mu, with residual ||(E - mu) x|| * ||w||;
+    - each tail satisfies B w = beta w, H w = eta w, V w = nu w and
+      D w = delta w, with (beta, eta, nu, delta) = (0, 0, k, -1) for XV,
+      (0, k, 0, -1) for XH, (0, 0, 0, -1) for XE and (k^2, k, k, k^2 - 1)
+      for XM.  By the mixed-product rule blown (x (x) w) = (E x) (x) w
+      with E = beta l_b + eta l_h + nu l_v + delta I, so the N x N check
+      E x = mu x makes x (x) w an eigenvector for mu, with residual
+      ||(E - mu) x|| * ||w||.  For an exact seed the check is a proof, not
+      a tolerance: `linalg.eigen_mismatch` decides E X = X diag(mu)
+      exactly;
     - tails of different families are orthogonal, so (x (x) w) . (x' (x) w')
       = (x . x')(w . w') = 0 across families, and the stack's rank is the
       sum of the families' ranks;
@@ -608,28 +503,23 @@ def verify(
       product", J. Comput. Appl. Math. 123, 2000), for the N x N seed
       stack X and the k^2-vector tails W of each family.
 
-    The exact eigenvector clause is a proof, not a tolerance.  A family's
-    integer seed vectors go through one float64 product E @ X, and E @ X -
-    X * diag(mu) must be exactly 0.  They take that route only when
-    (max_i sum_j |e_ij| + max |mu|) * max |x| < 2**53: then every entry,
-    partial sum and difference is an integer below 2**53, so nothing
-    rounds, whatever order BLAS sums in.  Past the bound each vector is
-    checked on the object array.
-
-    Threads: the calling thread first runs the limit gate (`seed_limits`:
-    M's size and scan cap, and past 512 its annihilation certificate), so
-    an input past a limit is refused before any blown matrix, kernel or
-    oracle.  It then builds the blown matrix and runs the float oracle,
-    while one worker thread runs `reconcile`, M's candidate scan, the
-    families (XV and XH in closed form) and the two factor-level clauses;
-    both are joined before the spectrum clauses.  When both fail, the
-    worker's VerificationFailure is raised, not the oracle's
-    ConvergenceError, so failures come in the order listed above.
+    Threads: the calling thread first runs the limit gate
+    (`linalg._candidate_limits` on M: its size and scan cap, and past 512
+    its annihilation certificate), so an input past a limit is refused
+    before any blown matrix, kernel or oracle.  It then builds the blown
+    matrix and runs the float oracle, an `eigh` on the k^2 N blown matrix
+    that spends most of its time in LAPACK with the GIL released, while one
+    worker thread runs `reconcile`, the families (XV and XH in closed form,
+    M scanned and kernelled) and the two factor-level clauses; both are
+    joined before the spectrum clauses.  When both fail, the worker's
+    VerificationFailure is raised, not the oracle's ConvergenceError, so
+    failures come in the order listed above.
     """
-    seeds = seed_limits(t, k)
+    _, xm_seed, _, _, _ = _family_table(t, k)[3]
+    linalg._candidate_limits(xm_seed)
     up_a = blown_adjacency(t, k) if blown is None else blown
     with ThreadPoolExecutor(max_workers=1) as pool:
-        clauses = pool.submit(_factor_clauses, t, k, up_a, seeds, residual_tol)
+        clauses = pool.submit(_factor_clauses, t, k, up_a)
         try:
             oracle = tuple(linalg.float_eigen(up_a))
         except Exception:
@@ -639,10 +529,9 @@ def verify(
 
     predicted = _predicted(families)
 
-    xm = families[3]
-    max_predicted = max(float(v) for v in xm.eigenvalues)
+    max_predicted = max(float(v) for v in families[3].eigenvalues)
     overall_max = max(float(v) for v in predicted)
-    if max_predicted < overall_max - spectrum_tol:
+    if max_predicted < overall_max - _SPECTRUM_TOL:
         raise VerificationFailure(
             "largest-not-from-XM",
             f"XM max {max_predicted} below overall {overall_max}",
@@ -650,20 +539,19 @@ def verify(
     # block size >= m, so M has k^2(J_s - I_s) as a principal submatrix and
     # interlacing puts its top eigenvalue above (m-1)k^2
     lower = t.m * k * k - 1
-    if max_predicted < lower - spectrum_tol:
+    if max_predicted < lower - _SPECTRUM_TOL:
         raise VerificationFailure(
             "largest-eigenvalue-lower-bound",
             f"max {max_predicted} < {lower}",
         )
-    if abs(max_predicted - oracle[-1]) > spectrum_tol:
+    if abs(max_predicted - oracle[-1]) > _SPECTRUM_TOL:
         raise VerificationFailure(
             "largest-eigenvalue-mismatch",
             f"predicted {max_predicted} vs oracle {oracle[-1]}",
         )
 
-    errs = [abs(float(p) - o) for p, o in zip(predicted, oracle)]
-    spectrum_max_error = max(errs)
-    if spectrum_max_error > spectrum_tol:
+    spectrum_max_error = max(abs(float(p) - o) for p, o in zip(predicted, oracle))
+    if spectrum_max_error > _SPECTRUM_TOL:
         raise VerificationFailure(
             "spectrum-oracle-mismatch", f"max pairing error {spectrum_max_error:.3e}"
         )

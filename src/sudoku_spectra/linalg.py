@@ -7,16 +7,19 @@ as numpy's usual exceptions; `rank` and `rational_kernel` raise TypeError
 on any other entry; an int64 array is accepted as well (the blown-up
 adjacency is one) and converted where exact arithmetic needs Python ints.
 Floating point enters through the eigenvalue oracle `float_eigen`, an
-independent cross-check of the exact path, whose pair routine also gives
-the approximate eigenvectors orthogonal to exact ones, and through
-`integral_spectrum`, whose float eigenvalues only propose the candidates
-that its exact annihilation certificate then proves or rejects.
+independent cross-check of the exact path held to RESIDUAL_TOL, whose pair
+routine also gives the approximate eigenvectors orthogonal to exact ones,
+and through `integral_spectrum`, whose float eigenvalues only propose the
+candidates that its exact annihilation certificate then proves or rejects.
+`eigen_mismatch` checks integer eigenpairs exactly, in one float64 product
+while the 2**53 bound allows.
 
 `integer_eigenspaces` finds every integer eigenvalue with its eigenspace:
 the characteristic polynomial mod one prime, evaluated at every integer
-within the Gershgorin bound, proposes the candidates (`integer_candidates`,
-which also checks the size and scan limits), and an exact kernel decides
-each one.  The prime table is shared and safe to extend from any thread.
+within the Gershgorin bound, proposes the candidates (after
+`_candidate_limits` checks the size and scan limits), and an exact kernel
+decides each one.  The prime table is shared and safe to extend from any
+thread.
 
 One elimination, Gauss-Jordan mod a prime in int64 (`_rref_mod`), decides
 every exact rank, kernel and linear solve.  `rational_kernel` is
@@ -59,9 +62,10 @@ __all__ = [
     "integral_spectrum",
     "poly_mul",
     "rational_kernel",
-    "integer_candidates",
+    "eigen_mismatch",
     "integer_eigenspaces",
     "rank",
+    "RESIDUAL_TOL",
     "float_eigen",
 ]
 
@@ -116,8 +120,9 @@ def kron(a, b) -> np.ndarray:
 
 
 def gershgorin_bound(a) -> int:
-    """max_i sum_j |a_ij|; every real eigenvalue lies in [-bound, bound]."""
-    return int(np.abs(np.asarray(a, dtype=object)).sum(axis=1).max())
+    """max_i sum_j |a_ij|; every real eigenvalue lies in [-bound, bound].
+    0 for an empty matrix."""
+    return int(np.abs(np.asarray(a, dtype=object)).sum(axis=1).max(initial=0))
 
 
 def _require_square(a) -> np.ndarray:
@@ -607,8 +612,7 @@ def integral_spectrum(a) -> list[tuple[int, int]] | None:
 # prime the basis mod the product of the primes is lifted by CRT and
 # rational reconstruction (Wang's algorithm; multimodular with early
 # termination, cf. Monagan, ISSAC 2004) and returned once (a - lam I) X == 0
-# holds exactly: a float64 product under the 2**53 bound, an object product
-# past it.
+# holds exactly (`eigen_mismatch` with every value 0).
 #
 # A verified lift is the rational answer.  Vectors independent mod p are
 # independent over Q, so the lift spans the kernel; each vector puts its
@@ -741,17 +745,29 @@ def _lift_basis(acc, modulus: int, pivots: list[int], free: list[int], n: int):
     return basis
 
 
-def _in_kernel(mat: np.ndarray, basis) -> bool:
-    """True iff mat @ x == 0 for every x in basis, exactly.
+def _exact_in_float64(row_sum: int, mu_max: int, x_max: int) -> bool:
+    """True when mat @ x - mu * x is exact in float64 for an integer mat
+    with max_i sum_j |mat_ij| = row_sum, integer vectors x with entries at
+    most x_max and integers mu at most mu_max in size: every entry, partial
+    sum and difference is an integer of size at most
+    (row_sum + mu_max) * x_max, so none rounds below 2**53, whatever order
+    BLAS sums in (the FFLAS-FFPACK technique: Dumas, Giorgi, Pernet, ACM
+    TOMS 35(3), 2008)."""
+    return (row_sum + mu_max) * x_max < _FLOAT64_EXACT
 
-    One float64 product when (max_i sum_j |mat_ij|) * max |x| < 2**53, so
-    every product and partial sum is an integer below 2**53 and nothing
-    rounds in any summation order; an object product otherwise.
-    """
-    x = np.array(basis, dtype=object).T
-    if gershgorin_bound(mat) * int(np.abs(x).max()) < _FLOAT64_EXACT:
-        return not np.any(np.asarray(mat, dtype=float) @ np.asarray(x, dtype=float))
-    return not np.any(mat @ x)
+
+def eigen_mismatch(mat, vectors, values) -> np.ndarray:
+    """Boolean mask over `vectors`, a nonempty list of integer vectors:
+    True where mat @ x != mu * x, mu the integer in `values` at the same
+    position, decided exactly: in one float64 product when
+    `_exact_in_float64` allows it, vector by vector on the object array
+    past it."""
+    x = np.array(vectors, dtype=object)
+    mu = np.array(values, dtype=object)
+    if _exact_in_float64(gershgorin_bound(mat), int(np.abs(mu).max()), int(np.abs(x).max())):
+        xf = x.T.astype(float)
+        return np.any(np.asarray(mat, dtype=float) @ xf != xf * mu.astype(float), axis=0)
+    return np.array([bool(np.any(mat[:, v != 0] @ v[v != 0] != m * v)) for v, m in zip(x, mu)])
 
 
 def rational_kernel(a, lam: int) -> list[np.ndarray]:
@@ -806,7 +822,7 @@ def rational_kernel(a, lam: int) -> list[np.ndarray]:
             acc = acc + modulus * ((residues - acc % p) * inv % p)
             modulus *= p
         basis = _lift_basis(acc, modulus, pivots, free, n)
-        if basis is not None and _in_kernel(mat, basis):
+        if basis is not None and not eigen_mismatch(mat, basis, [0] * len(basis)).any():
             return basis
         if budget is None:
             budget = _kernel_prime_budget(mat)
@@ -853,6 +869,8 @@ def rank(a) -> int:
 # coefficient bound, CRT or root extraction is needed.  Past n = 512, where
 # chi mod p is no longer exact in int64, only a spectrum that annihilation
 # proves integral (`integral_spectrum`, any n) supplies the candidates.
+# `_candidate_limits` checks both limits without the scan, so a caller can
+# refuse an input before it starts other work.
 
 # chi mod p comes from the first table prime; `_charpoly_mod`'s int64 sums
 # are exact for n <= 512 there
@@ -861,34 +879,13 @@ _SCAN_PRIME = _primes(1)[0]
 _EIGEN_SCAN_LIMIT = 1 << 22
 
 
-def integer_candidates(a) -> list[int]:
-    """The candidate step of `integer_eigenspaces`, ascending: integers
-    among which lie all integer eigenvalues of a symmetric integer matrix,
-    found with every limit checked and no kernel computed.
-
-    n <= 512: the integers of [-rho, rho] (rho the Gershgorin bound) where
-    chi = det(xI - a) mod one prime vanishes, at most _EIGEN_SCAN_LIMIT of
-    them scanned (CandidateLimitError past it).  Past 512: the eigenvalues
-    of a spectrum that `integral_spectrum` proves integral
-    (DimensionMismatch when it does not).
-    """
-    return _candidates(_require_ints(_require_symmetric(a)))
-
-
-def _candidates(a: np.ndarray) -> list[int]:
-    """`integer_candidates` of an a already checked to be symmetric ints."""
-    certified = _candidate_limits(a)
-    if certified is not None:
-        return certified
-    return _scanned_candidates(a) if a.shape[0] else []
-
-
 def _candidate_limits(a: np.ndarray) -> list[int] | None:
-    """The limits of `integer_candidates`, checked without its scan, for an
-    a already checked to be symmetric ints.  Past n = 512, the eigenvalues
-    of a spectrum `integral_spectrum` proves integral (DimensionMismatch
-    when it does not); up to 512, None once the scan of 2 rho + 1 integers
-    is within _EIGEN_SCAN_LIMIT (CandidateLimitError otherwise)."""
+    """The limits of `integer_eigenspaces`, checked without its scan, for
+    an a already checked to be symmetric ints.  Past n = 512, the
+    eigenvalues of a spectrum `integral_spectrum` proves integral
+    (DimensionMismatch when it does not); up to 512, None once the scan of
+    2 rho + 1 integers is within _EIGEN_SCAN_LIMIT (CandidateLimitError
+    otherwise)."""
     n = a.shape[0]
     if n > 512:
         certified = integral_spectrum(a)
@@ -898,7 +895,7 @@ def _candidate_limits(a: np.ndarray) -> list[int] | None:
                 f"got {n}"
             )
         return [lam for lam, _ in certified]
-    rho = gershgorin_bound(a) if n else 0
+    rho = gershgorin_bound(a)
     if 2 * rho + 1 > _EIGEN_SCAN_LIMIT:
         raise CandidateLimitError(
             f"integer_eigenspaces: {2 * rho + 1} integers in [-{rho}, {rho}] to scan, "
@@ -907,25 +904,21 @@ def _candidate_limits(a: np.ndarray) -> list[int] | None:
     return None
 
 
-def integer_eigenspaces(
-    a, candidates: list[int] | None = None
-) -> list[tuple[int, list[np.ndarray]]]:
+def integer_eigenspaces(a) -> list[tuple[int, list[np.ndarray]]]:
     """(lam, basis of ker(a - lam I)) for every integer eigenvalue lam of a
     symmetric integer matrix, ascending; bases as from `rational_kernel`.
 
-    `integer_candidates` proposes the eigenvalues and checks the limits
-    (n <= 512 unless the spectrum is proven integral, a scan of at most
-    _EIGEN_SCAN_LIMIT integers); `rational_kernel` decides each candidate:
-    a false one gets an empty kernel, and the dimension of a nonempty one
-    is the multiplicity (see the section comment).  A caller that checks
-    the limits before it starts other work passes `candidates`, which must
-    then be `integer_candidates(a)`.
+    After `_candidate_limits` (n <= 512 unless the spectrum is proven
+    integral, a scan of at most _EIGEN_SCAN_LIMIT integers), the scan of
+    chi mod one prime, or past 512 the certified spectrum, proposes the
+    eigenvalues; `rational_kernel` decides each candidate: a false one gets
+    an empty kernel, and the dimension of a nonempty one is the
+    multiplicity (see the section comment).
     """
     a = _require_ints(_require_symmetric(a))
-    if candidates is None:
-        candidates = _candidates(a)
+    candidates = _candidate_limits(a)
     out = []
-    for lam in candidates:
+    for lam in _scanned_candidates(a) if candidates is None else candidates:
         basis = rational_kernel(a, lam)
         if basis:
             out.append((lam, basis))
@@ -934,7 +927,7 @@ def integer_eigenspaces(
 
 def _scanned_candidates(a: np.ndarray) -> list[int]:
     """The integers lam of [-rho, rho] with chi(lam) = 0 mod _SCAN_PRIME,
-    ascending; a is n x n with 0 < n <= 512 and passed `_candidate_limits`."""
+    ascending; a is n x n with n <= 512 and passed `_candidate_limits`."""
     rho = gershgorin_bound(a)
     p = _SCAN_PRIME
     chi = _charpoly_mod((_for_residues(a) % p).astype(np.int64, copy=False), p)
@@ -945,15 +938,19 @@ def _scanned_candidates(a: np.ndarray) -> list[int]:
 # ---------------------------------------------------------------------------
 # floating-point oracle
 
+# an approximate eigenpair (lambda, v) must have ||a v - lambda v|| at most
+# this times ||a||_F ||v||; read at call time
+RESIDUAL_TOL = 1e-8
 
-def _float_eigen_pairs(a, tol: float = 1e-8, exact=()) -> tuple[np.ndarray, np.ndarray]:
+
+def _float_eigen_pairs(a, exact=()) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues, ascending, and unit eigenvectors (columns) of a
-    symmetric integer matrix, each held to ||a v - lambda v|| <= tol *
-    ||a||_F (ConvergenceError otherwise).  Given `exact`, independent
-    eigenvectors of a, only the pairs of their orthogonal complement, which
-    a maps into itself: eigh of Q^T a Q, Q an orthonormal basis of the
-    complement (complete QR), with eigenvectors Q y.  An int64 matrix is
-    checked and converted without an object copy."""
+    symmetric integer matrix, each held to ||a v - lambda v|| <=
+    RESIDUAL_TOL * ||a||_F (ConvergenceError otherwise).  Given `exact`,
+    independent eigenvectors of a, only the pairs of their orthogonal
+    complement, which a maps into itself: eigh of Q^T a Q, Q an orthonormal
+    basis of the complement (complete QR), with eigenvectors Q y.  An int64
+    matrix is checked and converted without an object copy."""
     a = _require_symmetric(a)
     af = a.astype(float)
     if len(exact):
@@ -964,20 +961,20 @@ def _float_eigen_pairs(a, tol: float = 1e-8, exact=()) -> tuple[np.ndarray, np.n
         w, v = np.linalg.eigh(af)
     fro = np.linalg.norm(af)
     resid = np.linalg.norm(af @ v - v * w, axis=0)
-    if np.any(resid > tol * fro):
+    if np.any(resid > RESIDUAL_TOL * fro):
         raise ConvergenceError(
-            f"eigenvector residual {resid.max():.3e} exceeds {tol:.1e} * ||a||_F"
+            f"eigenvector residual {resid.max():.3e} exceeds {RESIDUAL_TOL:.1e} * ||a||_F"
         )
     return w, v
 
 
-def float_eigen(a, tol: float = 1e-8) -> list[float]:
+def float_eigen(a) -> list[float]:
     """All eigenvalues of a symmetric integer matrix, ascending.
 
     Backed by LAPACK's dense symmetric solver; the residual contract
-    ||a v - lambda v|| <= tol * ||a||_F is verified explicitly for every
-    computed eigenvector and violation raises ConvergenceError.  Advisory
-    only: integrality verdicts always come from the exact path.
+    ||a v - lambda v|| <= RESIDUAL_TOL * ||a||_F is verified explicitly for
+    every computed eigenvector and violation raises ConvergenceError.
+    Advisory only: integrality verdicts always come from the exact path.
     """
-    w, _ = _float_eigen_pairs(a, tol)
+    w, _ = _float_eigen_pairs(a)
     return [float(x) for x in w]

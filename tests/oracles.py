@@ -16,8 +16,9 @@ mod a prime (`linalg._rref_mod`):
 - `substitute_template` builds the blow-up symbol by symbol as the
   reference for `blown_adjacency`;
 - `dense_max_residual` and `dense_basis_rank` are the eigenvector and rank
-  clauses on the expanded k^2 N-vectors of the blow-up families, which the
-  factor-level clauses of `eigenbasis.verify` must agree with.
+  clauses on the expanded k^2 N-vectors of the blow-up families
+  (`blown_vectors`), which the factor-level clauses of `eigenbasis.verify`
+  must agree with.
 `spectrum_charpoly`, `poly_eval`, `trace` and `eigenvalue_sum` read a
 spectrum back as the quantities `char_poly` and the float oracle are
 checked against; `int_matrix` and `zeros_matrix` build the tests'
@@ -32,6 +33,7 @@ import numpy as np
 from sudoku_spectra.blowup import substitution_set
 from sudoku_spectra.eigenbasis import VerificationFailure
 from sudoku_spectra.graph import template
+from sudoku_spectra import linalg
 from sudoku_spectra.linalg import (
     DimensionMismatch,
     _require_ints,
@@ -243,13 +245,26 @@ def substitute_template(t, k: int) -> np.ndarray:
     return out
 
 
-def dense_max_residual(families, up_a: np.ndarray, residual_tol: float) -> float:
+def blown_vectors(fam) -> tuple[np.ndarray, ...]:
+    """The k^2 N-vectors x (x) w of an `eigenbasis.EigenFamily`, for every
+    seed vector x of its spaces (x-major) and every tail w (tail-minor)."""
+    ws = np.array(fam.tails, dtype=object)
+    out = []
+    for space in fam.spaces:
+        # row (a, b) is kron(x_a, w_b)
+        xs = np.array(space.vectors, dtype=object)
+        count = len(xs) * len(ws)
+        out.extend((xs[:, None, :, None] * ws[None, :, None, :]).reshape(count, -1))
+    return tuple(out)
+
+
+def dense_max_residual(families, up_a: np.ndarray) -> float:
     """Eigenvector clause on the blown vectors themselves: raise
     VerificationFailure unless each family vector v is an eigenvector of
     up_a for its eigenvalue mu, exactly when v is exact and within
-    residual_tol * ||up_a||_F * ||v|| otherwise; return the largest residual
-    of the approximate ones.  The first failing vector in family order is
-    named.  Exact products run in int64 when (row sum + |mu|) * max |v| <
+    linalg.RESIDUAL_TOL * ||up_a||_F * ||v|| otherwise; return the largest
+    residual of the approximate ones.  The first failing vector in family
+    order is named.  Exact products run in int64 when (row sum + |mu|) * max |v| <
     2**63, so nothing overflows, and on the object array otherwise."""
     up_f = np.asarray(up_a, dtype=float)
     up_i = np.asarray(up_a, dtype=np.int64)
@@ -257,7 +272,7 @@ def dense_max_residual(families, up_a: np.ndarray, residual_tol: float) -> float
     fro = np.linalg.norm(up_f)
     max_residual = 0.0
     for fam in families:
-        for vec, mu, exact in zip(fam.vectors, fam.eigenvalues, fam.exact):
+        for vec, mu, exact in zip(blown_vectors(fam), fam.eigenvalues, fam.exact):
             if exact:
                 if (row_sum + abs(mu)) * int(np.abs(vec).max()) < 2**63:
                     v = vec.astype(np.int64)
@@ -272,7 +287,7 @@ def dense_max_residual(families, up_a: np.ndarray, residual_tol: float) -> float
                 continue
             vf = np.asarray(vec, dtype=float)
             res = float(np.linalg.norm(up_f @ vf - mu * vf))
-            allowed = residual_tol * fro * float(np.linalg.norm(vf))
+            allowed = linalg.RESIDUAL_TOL * fro * float(np.linalg.norm(vf))
             if res > allowed:
                 raise VerificationFailure(
                     "eigenvector-residual",
@@ -287,7 +302,7 @@ def dense_basis_rank(families, dim: int) -> int:
     unless there are dim of them with rank dim (exact rank when every
     vector is exact, an SVD with a relative 1e-8 threshold otherwise);
     returns the rank."""
-    stacked = [vec for fam in families for vec in fam.vectors]
+    stacked = [vec for fam in families for vec in blown_vectors(fam)]
     if len(stacked) != dim:
         raise VerificationFailure("basis-rank", f"{len(stacked)} vectors for dimension {dim}")
     if all(all(fam.exact) for fam in families):

@@ -24,7 +24,7 @@ from sudoku_spectra.spectra import exact_spectrum
 from sudoku_spectra.tiling import classical_tiling, random_tiling, row_tiling
 
 from conftest import tilings
-from oracles import dense_basis_rank, dense_max_residual, int_matrix
+from oracles import blown_vectors, dense_basis_rank, dense_max_residual, int_matrix
 
 
 def test_kj_basis():
@@ -229,7 +229,7 @@ def test_xe_vectors_are_eigenvectors(freeform4):
     fams = build_families(freeform4, k)
     xe = fams[2]
     up = blown_adjacency(freeform4, k)
-    for vec, mu in zip(xe.vectors[:8], xe.eigenvalues[:8]):
+    for vec, mu in zip(blown_vectors(xe)[:8], xe.eigenvalues[:8]):
         assert mu == -1
         assert not np.any(up @ vec - mu * vec)
 
@@ -251,7 +251,7 @@ def test_span_intersection_rank(freeform4):
     # (their all-ones middle/last slots are orthogonal to ker(J_k))
     k = 2
     xv, xh, _, _ = build_families(freeform4, k)
-    mat = np.array([np.asarray(v, dtype=float) for v in xv.vectors + xh.vectors])
+    mat = np.array([np.asarray(v, dtype=float) for v in blown_vectors(xv) + blown_vectors(xh)])
     sing = np.linalg.svd(mat, compute_uv=False)
     assert int(np.sum(sing > 1e-8 * sing[0])) == 2 * (k - 1) * freeform4.n_cells
 
@@ -264,7 +264,7 @@ def test_span_intersection_rank_exact():
     k = 2
     xv, xh, _, _ = build_families(t, k)
     assert all(xv.exact) and all(xh.exact)
-    vectors = list(xv.vectors) + list(xh.vectors)
+    vectors = list(blown_vectors(xv)) + list(blown_vectors(xh))
     mat = np.empty((len(vectors), vectors[0].size), dtype=object)
     for i, v in enumerate(vectors):
         mat[i, :] = v
@@ -358,7 +358,7 @@ def test_lemma_eigen_relations_random():
         k = 2 + seed % 2
         up = blown_adjacency(t, k)
         for fam in build_families(t, k):
-            for vec, mu, exact in zip(fam.vectors, fam.eigenvalues, fam.exact):
+            for vec, mu, exact in zip(blown_vectors(fam), fam.eigenvalues, fam.exact):
                 if exact:
                     assert not np.any(up @ vec - mu * vec)
                     checked += 1
@@ -372,12 +372,17 @@ def test_verify_random(t, k):
     assert rep.total_rank == t.n_cells * k * k
 
 
-def test_verification_failure_names_clause():
+def test_verification_failure_names_clause(monkeypatch):
     # an impossible residual tolerance trips the first clause on any case
     # that goes through the approximate path (random_tiling(3, 1) has a
-    # fully irrational nontrivial part)
+    # fully irrational nontrivial part).  The families are built first, as
+    # M's own eigenpairs are held to the same tolerance; the oracle fails
+    # too, and the clause is reported ahead of it
+    t = random_tiling(3, 1)
+    families = build_families(t, 2)
+    monkeypatch.setattr(la, "RESIDUAL_TOL", 0.0)
     with pytest.raises(VerificationFailure) as info:
-        verify(random_tiling(3, 1), 2, residual_tol=0.0)
+        _verify_with(monkeypatch, t, 2, families)
     assert info.value.clause == "eigenvector-residual"
 
 
@@ -417,9 +422,9 @@ def test_build_families_k1_skips_empty_families(freeform4, monkeypatch):
     real = la.integer_eigenspaces
     seen = []
 
-    def recorded(a, candidates=None):
+    def recorded(a):
         seen.append(a)
-        return real(a, candidates)
+        return real(a)
 
     monkeypatch.setattr(la, "integer_eigenspaces", recorded)
     families = build_families(freeform4, 1)
@@ -463,7 +468,7 @@ def _off_by_one(vec):
 
 
 def _verify_with(monkeypatch, t, k, families, **kwargs):
-    monkeypatch.setattr(eigenbasis_mod, "build_families", lambda t_, k_, seeds: families)
+    monkeypatch.setattr(eigenbasis_mod, "build_families", lambda t_, k_: families)
     return verify(t, k, **kwargs)
 
 
@@ -519,15 +524,6 @@ def test_exact_failure_names_vector_past_first_chunk(index, monkeypatch):
         _verify_with(monkeypatch, t, 2, bad)
 
 
-def test_float64_bound_counts_the_eigenvalue():
-    # (row_sum + |mu|) * max|v| < 2**53, strictly
-    assert eigenbasis_mod._fits_float64(6, 1, 2**50)
-    assert not eigenbasis_mod._fits_float64(7, 1, 2**50)
-    # row_sum * max|v| alone is below 2**53 here
-    assert not eigenbasis_mod._fits_float64(23, 23, 2**48)
-    assert not eigenbasis_mod._fits_float64(2**52, 2**52, 1)
-
-
 @pytest.mark.parametrize("scale", [2**50, 2**60, 2**200])
 def test_scaled_exact_vector_takes_object_fallback(scale, monkeypatch):
     # XM's seed operator 4 l_b + 2 l_h + 2 l_v + 3 I on classical n=2 has
@@ -538,7 +534,7 @@ def test_scaled_exact_vector_takes_object_fallback(scale, monkeypatch):
     families = build_families(t, 2)
     assert families[3].eigenvalues[15] == 23
     scaled = _with_seed(families, "XM", 15, lambda v: v * scale)
-    assert not eigenbasis_mod._fits_float64(23, 23, scale)
+    assert not la._exact_in_float64(23, 23, scale)
     rep = _verify_with(monkeypatch, t, 2, scaled)
     assert rep.total_rank == 64 and rep.max_residual == 0.0
     bad = _with_seed(families, "XM", 15, lambda v: _off_by_one(v * scale))
@@ -563,7 +559,8 @@ def test_first_failure_in_family_order(kind, index, tol, message, monkeypatch):
     change = _with_tail if kind == "XE" else _with_seed
     bad = change(families, kind, index, _off_by_one)
     with pytest.raises(VerificationFailure) as info:
-        _verify_with(monkeypatch, t, 2, bad, residual_tol=tol)
+        monkeypatch.setattr(la, "RESIDUAL_TOL", tol)
+        _verify_with(monkeypatch, t, 2, bad)
     assert str(info.value).startswith(f"eigenvector-residual: {message}")
 
 
@@ -679,15 +676,16 @@ def test_factor_clauses_match_dense_reference(t, k, mutation, i, j):
     assume(families is not None)
     d = layers(t)
     subs = substitution_set(k)
-    n, dim = t.n_cells, k * k * t.n_cells
+    dim = k * k * t.n_cells
     up = blown_adjacency(t, k)
+    fro = np.linalg.norm(np.asarray(up, dtype=float))
 
     def factor():
-        eigenbasis_mod._max_residual(families, d, subs, n, 1e-8)
+        eigenbasis_mod._max_residual(families, d, subs, fro)
         return eigenbasis_mod._basis_rank(families, dim)
 
     def dense():
-        dense_max_residual(families, up, 1e-8)
+        dense_max_residual(families, up)
         return dense_basis_rank(families, dim)
 
     assert _clauses(factor) == _clauses(dense)
@@ -706,9 +704,10 @@ def test_perturbed_residual_matches_dense(k):
 
     families = _with_seed(build_families(t, k), "XM", 0, nudge)
     assert not families[3].exact[0]
-    factor = eigenbasis_mod._max_residual(families, layers(t), substitution_set(k),
-                                          t.n_cells, 1e-8)
-    dense = dense_max_residual(families, blown_adjacency(t, k), 1e-8)
+    up = blown_adjacency(t, k)
+    fro = np.linalg.norm(np.asarray(up, dtype=float))
+    factor = eigenbasis_mod._max_residual(families, layers(t), substitution_set(k), fro)
+    dense = dense_max_residual(families, up)
     assert dense > 1e-10
     assert factor == pytest.approx(dense, rel=1e-6)
 
@@ -716,11 +715,20 @@ def test_perturbed_residual_matches_dense(k):
 @pytest.mark.parametrize("t, k", [(classical_tiling(2), 3), (random_tiling(4, 2), 2),
                                   (random_tiling(9, 1), 3)],
                          ids=["classical2-k3", "random4-2-k2", "random9-1-k3"])
-def test_blown_frobenius_matches_dense(t, k):
-    # the factor-level norm the residual bound scales with
+def test_residual_bound_scales_with_blown_norm(t, k, monkeypatch):
+    # verify hands the eigenvector clause ||blown||_F, read off the
+    # reconciled 0/1 matrix
+    seen = []
+    real = eigenbasis_mod._max_residual
+
+    def recorded(families, d, subs, fro):
+        seen.append(fro)
+        return real(families, d, subs, fro)
+
+    monkeypatch.setattr(eigenbasis_mod, "_max_residual", recorded)
+    verify(t, k)
     dense = np.linalg.norm(np.asarray(blown_adjacency(t, k), dtype=float))
-    factor = eigenbasis_mod._blown_frobenius(layers(t), substitution_set(k), t.n_cells)
-    assert factor == pytest.approx(dense, rel=1e-15)
+    assert seen == [pytest.approx(dense, rel=1e-15)]
 
 
 def test_duplicated_tail_fails_rank():
@@ -760,8 +768,9 @@ def test_build_families_match_vectorwise_kron(t, k):
         else:
             xs = [x for space in eigenvector_basis(seed) for x in space.vectors]
         expected = [la.kron(x, w) for x in xs for w in tails]
-        assert len(fam.vectors) == len(expected)
-        for got, want in zip(fam.vectors, expected):
+        got_vectors = blown_vectors(fam)
+        assert len(got_vectors) == len(expected)
+        for got, want in zip(got_vectors, expected):
             assert got.dtype == want.dtype and got.tolist() == want.tolist()
             assert [type(v) for v in got] == [type(v) for v in want]
 
@@ -791,7 +800,7 @@ def test_basis_rank_deficient_stack_fails():
         eigenbasis_mod._basis_rank(doubled, 64)
 
 
-def _failing_oracle(a, tol=1e-8):
+def _failing_oracle(a):
     raise la.ConvergenceError("injected")
 
 
@@ -902,10 +911,11 @@ def test_reconcile_failure_outranks_the_rest(factor, oracle, monkeypatch):
 
 def test_only_m_is_scanned_and_kernelled(monkeypatch):
     # classical n=3, k=3: XV and XH take their seeds in closed form, so the
-    # candidate scan and the exact kernels see M alone
+    # limit gate, the candidate scan and the exact kernels see M alone
     t = classical_tiling(3)
     seen = []
-    for name in ("integer_candidates", "rational_kernel"):
+    names = ("_candidate_limits", "_scanned_candidates", "rational_kernel")
+    for name in names:
         real = getattr(la, name)
 
         def recorded(a, *args, _real=real, _name=name):
@@ -916,5 +926,5 @@ def test_only_m_is_scanned_and_kernelled(monkeypatch):
     verify(t, 3)
     d = layers(t)
     m = 9 * d.l_b + 3 * d.l_h + 3 * d.l_v
-    assert {name for name, _ in seen} == {"integer_candidates", "rational_kernel"}
+    assert {name for name, _ in seen} == set(names)
     assert all(np.array_equal(a, m) for _, a in seen)

@@ -552,9 +552,28 @@ def test_in_kernel_past_float64_bound():
     # (1, 1) . (2**60, 1 - 2**60) = 1, but float64 rounds 1 - 2**60 to
     # -2**60 and would report 0; past the 2**53 bound the product is exact
     a = int_matrix([[1, 1], [0, 0]])
-    assert la._in_kernel(a, [[2**60, -(2**60)]])
-    assert not la._in_kernel(a, [[2**60, 1 - 2**60]])
-    assert not la._in_kernel(a, [[1, 0]])
+    vectors = [[2**60, -(2**60)], [2**60, 1 - 2**60], [1, 0]]
+    assert la.eigen_mismatch(a, vectors, [0, 0, 0]).tolist() == [False, True, True]
+    assert la.eigen_mismatch(a, vectors[2:], [0]).tolist() == [True]
+
+
+def test_float64_bound_counts_the_eigenvalue():
+    # (row_sum + |mu|) * max|x| < 2**53, strictly
+    assert la._exact_in_float64(6, 1, 2**50)
+    assert not la._exact_in_float64(7, 1, 2**50)
+    # row_sum * max|x| alone is below 2**53 here
+    assert not la._exact_in_float64(23, 23, 2**48)
+    assert not la._exact_in_float64(2**52, 2**52, 1)
+
+
+def test_eigen_mismatch_bound_reads_all_three_sizes(monkeypatch):
+    # the route is chosen from the largest row sum, |mu| and |x| entry
+    seen = []
+    real = la._exact_in_float64
+    monkeypatch.setattr(la, "_exact_in_float64", lambda *args: seen.append(args) or real(*args))
+    a = int_matrix([[1, -2], [-2, 5]])
+    assert la.eigen_mismatch(a, [[2, 1], [1, -3]], [0, -4]).tolist() == [True, True]
+    assert seen == [(7, 4, 3)]
 
 
 def _count_rref_calls(monkeypatch) -> list:
@@ -652,30 +671,23 @@ def test_integer_eigenspaces_false_candidate(monkeypatch):
         [(lam, [v.tolist() for v in basis]) for lam, basis in expected]
 
 
-def test_integer_candidates_feed_the_kernels(monkeypatch):
-    # the candidate step alone: it holds every integer eigenvalue, passing
-    # it back gives the same eigenspaces, and both limits raise from it
-    # before any kernel is computed
-    for a in (layers(classical_tiling(2)).l_h, layers(random_tiling(3, 1)).l_v,
-              int_matrix([[0, 1], [1, 1]])):
-        candidates = la.integer_candidates(a)
-        assert candidates == sorted(candidates)
-        whole = la.integer_eigenspaces(a)
-        assert {lam for lam, _ in whole} <= set(candidates)
-        given = la.integer_eigenspaces(a, candidates)
-        assert [(lam, [v.tolist() for v in basis]) for lam, basis in given] == \
-            [(lam, [v.tolist() for v in basis]) for lam, basis in whole]
-
-    def no_kernel(mat, lam):
-        raise AssertionError("a kernel before the limits were checked")
+def test_limits_raise_before_any_kernel(monkeypatch):
+    # both limits of `integer_eigenspaces` raise from `_candidate_limits`,
+    # before any scan or kernel is computed
+    def no_kernel(*args):
+        raise AssertionError("a scan or kernel before the limits were checked")
 
     monkeypatch.setattr(la, "rational_kernel", no_kernel)
-    with pytest.raises(la.CandidateLimitError):
-        la.integer_candidates(int_matrix([[la._EIGEN_SCAN_LIMIT // 2]]))
+    monkeypatch.setattr(la, "_scanned_candidates", no_kernel)
+    past_scan = int_matrix([[la._EIGEN_SCAN_LIMIT // 2]])
     path = np.zeros((513, 513), dtype=np.int64)
     path[np.arange(512), np.arange(1, 513)] = path[np.arange(1, 513), np.arange(512)] = 1
-    with pytest.raises(la.DimensionMismatch, match="n <= 512 unless the spectrum is proven integral"):
-        la.integer_candidates(path)
+    for check in (la._candidate_limits, la.integer_eigenspaces):
+        with pytest.raises(la.CandidateLimitError):
+            check(past_scan)
+        with pytest.raises(la.DimensionMismatch,
+                           match="n <= 512 unless the spectrum is proven integral"):
+            check(path)
 
 
 def test_integer_eigenspaces_scan_limit(capsys):
@@ -801,7 +813,7 @@ def test_float_eigen_int64_matches_object():
     assert np.array_equal(w_obj, w_int) and np.array_equal(v_obj, v_int)
 
 
-def test_float_eigen_pairs_on_complement():
+def test_float_eigen_pairs_on_complement(monkeypatch):
     # given exact eigenvectors, only the pairs orthogonal to them: here the
     # path P3 beside an isolated vertex, whose exact eigenvalue 0 has the
     # vectors e_0 and (0, 1, 0, -1)
@@ -811,8 +823,9 @@ def test_float_eigen_pairs_on_complement():
     assert w == pytest.approx([-np.sqrt(2), np.sqrt(2)], abs=1e-12)
     assert v.shape == (4, 2)
     assert np.allclose(np.array(exact, dtype=float) @ v, 0, atol=1e-12)
+    monkeypatch.setattr(la, "RESIDUAL_TOL", 0.0)
     with pytest.raises(la.ConvergenceError):
-        la._float_eigen_pairs(a, tol=0.0, exact=exact)
+        la._float_eigen_pairs(a, exact=exact)
 
 
 def test_float_eigen_matches_exact_roots():
@@ -844,17 +857,19 @@ def test_float_eigen_rounding_reproduces_integer_spectrum():
     assert [round(x) for x in la.float_eigen(a)] == exact
 
 
-def test_float_eigen_convergence_error():
+def test_float_eigen_convergence_error(monkeypatch):
     # an impossible residual target must be reported, not silently ignored
     p3 = int_matrix([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    monkeypatch.setattr(la, "RESIDUAL_TOL", 0.0)
     with pytest.raises(la.ConvergenceError):
-        la.float_eigen(p3, tol=0.0)
+        la.float_eigen(p3)
 
 
 def test_trace_and_gershgorin():
     a = int_matrix([[1, -2], [-2, 5]])
     assert trace(a) == 6
     assert la.gershgorin_bound(a) == 7
+    assert la.gershgorin_bound(np.zeros((0, 0), dtype=object)) == 0
 
 
 def test_charpoly_dimension_guard():

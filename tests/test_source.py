@@ -66,3 +66,19 @@ def test_benchmark_layers_are_functions():
         if not (public and inspect.isfunction(obj) and obj.__module__ == mod.__name__):
             missing.append(function)
     assert missing == []
+
+
+def test_eigenbasis_reads_only_allowed_private_linalg_names():
+    # the 2**53 exactness decision and the residual tolerance live in
+    # linalg; eigenbasis calls linalg's public names for them, and reads
+    # only these private ones
+    allowed = {"_float_eigen_pairs", "_candidate_limits", "_require_symmetric"}
+    [(_, tree)] = [(p, t) for p, t in parsed_sources() if p.name == "eigenbasis.py"]
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "linalg" and node.attr.startswith("_"):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+            read.update(alias.name for alias in node.names if alias.name.startswith("_"))
+    assert read == allowed

@@ -152,6 +152,14 @@ def test_digest():
     assert s2.digest() == "2^1 +deg2"
 
 
+def test_exact_spectrum_of_empty_matrix():
+    # as char_poly, integer_eigenspaces, rank and float_eigen do, the exact
+    # spectrum accepts the 0 x 0 matrix
+    s = exact_spectrum(np.zeros((0, 0), dtype=object))
+    assert s == Spectrum((), (1,))
+    assert s.digest() == "(empty)"
+
+
 @given(tilings(min_m=1, max_m=4))
 @settings(max_examples=25, deadline=None)
 def test_spectrum_invariants(t):
