@@ -25,8 +25,9 @@ characteristic polynomial mod one prime proposes candidates in the
 Gershgorin range and exact rational kernels decide them, so floats never
 decide which vectors are exact.  The non-integer eigenpairs live in the
 orthogonal complement of the exact vectors; `eigh` on that complement
-gives them, one vector each, flagged approximate and held to the float
-oracle's residual contract, as are the closed form's non-integer roots.
+(`linalg._float_eigen_pairs`) gives them, one vector each, flagged
+approximate and held to its residual contract, as are the closed form's
+non-integer roots.
 
 A family is kept in factored form, its seed eigenspaces and its tails w,
 and `verify` proves the basis on those factors, never on the k^2 N blown
@@ -157,15 +158,16 @@ def eigenvector_basis(a) -> list[EigenSpace]:
     `linalg.integer_eigenspaces` (n <= 512, or any n with a spectrum proven
     integral), which alone decides which eigenvalues are exact.  The
     orthogonal complement of those vectors is invariant under a and holds
-    the non-integer eigenpairs; the float oracle's `eigh` on it gives them,
-    one vector each, flagged approximate and held to its residual contract.
-    The union spans the whole space.
+    the non-integer eigenpairs; `linalg._float_eigen_pairs`, an `eigh` on
+    it, gives them, one vector each, flagged approximate and held to its
+    residual contract.  The union spans the whole space.  a is checked once,
+    by `linalg.integer_eigenspaces`.
     """
-    a = linalg._require_symmetric(a)
     spaces = [
         EigenSpace(lam, tuple(sorted(vecs, key=tuple)), True)
         for lam, vecs in linalg.integer_eigenspaces(a)
     ]
+    a = np.asarray(a, dtype=object)  # checked: symmetric, Python ints
     exact = [x for s in spaces for x in s.vectors]
     if len(exact) < a.shape[0]:
         w, v = linalg._float_eigen_pairs(a, exact=exact)
@@ -223,7 +225,8 @@ def _multipartite_pairs(parts: list[list[int]], n: int) -> list[tuple]:
     An integer root gives a primitive integer vector whose first nonzero
     entry is positive.  Otherwise its value is the i-th eigenvalue of the
     d x d matrix sqrt(u) sqrt(u)^T - diag(a), u_a = n_a a, which is g's i-th
-    root, and its vector is a unit float vector, flagged approximate."""
+    root, and its vector is a unit float vector, flagged approximate; a
+    LAPACK failure there raises ConvergenceError."""
     by_size: dict[int, list[list[int]]] = {}
     for part in parts:
         by_size.setdefault(len(part), []).append(part)
@@ -242,7 +245,10 @@ def _multipartite_pairs(parts: list[list[int]], n: int) -> list[tuple]:
     roots = _secular_roots({a: len(same) for a, same in by_size.items()})
     if None in roots:
         r = np.sqrt([len(by_size[a]) * a for a in sizes])
-        approx = np.linalg.eigvalsh(np.outer(r, r) - np.diag(np.array(sizes, dtype=float)))
+        try:
+            approx = np.linalg.eigvalsh(np.outer(r, r) - np.diag(np.array(sizes, dtype=float)))
+        except np.linalg.LinAlgError as exc:
+            raise linalg.ConvergenceError(f"LAPACK failed: {exc}") from exc
     for i, lam in enumerate(roots):
         exact = lam is not None
         if not exact:
@@ -507,8 +513,9 @@ def verify(t: Tiling, k: int, blown: np.ndarray | None = None) -> EigenBasisRepo
     (`linalg._candidate_limits` on M: its size and scan cap, and past 512
     its annihilation certificate), so an input past a limit is refused
     before any blown matrix, kernel or oracle.  It then builds the blown
-    matrix and runs the float oracle, an `eigh` on the k^2 N blown matrix
-    that spends most of its time in LAPACK with the GIL released, while one
+    matrix and runs the float oracle, `linalg.float_eigen`: a values-only
+    `eigvalsh` on the k^2 N blown matrix, held to its power-sum check, that
+    spends most of its time in LAPACK with the GIL released, while one
     worker thread runs `reconcile`, the families (XV and XH in closed form,
     M scanned and kernelled) and the two factor-level clauses; both are
     joined before the spectrum clauses.  When both fail, the worker's

@@ -7,10 +7,13 @@ as numpy's usual exceptions; `rank` and `rational_kernel` raise TypeError
 on any other entry; an int64 array is accepted as well (the blown-up
 adjacency is one) and converted where exact arithmetic needs Python ints.
 Floating point enters through the eigenvalue oracle `float_eigen`, an
-independent cross-check of the exact path held to RESIDUAL_TOL, whose pair
-routine also gives the approximate eigenvectors orthogonal to exact ones,
-and through `integral_spectrum`, whose float eigenvalues only propose the
-candidates that its exact annihilation certificate then proves or rejects.
+independent cross-check of the exact path: values only, each power-sum
+check held to EIGENVALUE_TOL, and a LAPACK failure raised as
+ConvergenceError; through `_float_eigen_pairs`, which gives the
+approximate eigenvectors orthogonal to exact ones, each held to
+RESIDUAL_TOL; and through `integral_spectrum`, whose float eigenvalues only
+propose the candidates that its exact annihilation certificate then proves
+or rejects.
 `eigen_mismatch` checks integer eigenpairs exactly, in one float64 product
 while the 2**53 bound allows.
 
@@ -42,7 +45,7 @@ from __future__ import annotations
 import itertools
 import operator
 import threading
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, sqrt
 
 import numpy as np
 
@@ -66,6 +69,7 @@ __all__ = [
     "integer_eigenspaces",
     "rank",
     "RESIDUAL_TOL",
+    "EIGENVALUE_TOL",
     "float_eigen",
 ]
 
@@ -75,7 +79,8 @@ class DimensionMismatch(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """The floating-point eigensolver missed its residual target."""
+    """The floating-point eigensolver failed in LAPACK or missed its
+    a-posteriori check."""
 
 
 class CertificateError(ArithmeticError):
@@ -792,8 +797,12 @@ def rational_kernel(a, lam: int) -> list[np.ndarray]:
     Hadamard bound) the lift cannot fail, so reaching it raises
     CertificateError.
     """
-    a = _require_ints(_require_square(a))
-    lam = operator.index(lam)
+    return _rational_kernel(_require_ints(_require_square(a)), operator.index(lam))
+
+
+def _rational_kernel(a: np.ndarray, lam: int) -> list[np.ndarray]:
+    """`rational_kernel` for an a already checked to be a square object
+    array of Python ints and an int lam."""
     n = a.shape[0]
     mat = a.copy()
     for i in range(n):
@@ -879,13 +888,13 @@ _SCAN_PRIME = _primes(1)[0]
 _EIGEN_SCAN_LIMIT = 1 << 22
 
 
-def _candidate_limits(a: np.ndarray) -> list[int] | None:
+def _candidate_limits(a: np.ndarray) -> int | list[int]:
     """The limits of `integer_eigenspaces`, checked without its scan, for
     an a already checked to be symmetric ints.  Past n = 512, the
     eigenvalues of a spectrum `integral_spectrum` proves integral
-    (DimensionMismatch when it does not); up to 512, None once the scan of
-    2 rho + 1 integers is within _EIGEN_SCAN_LIMIT (CandidateLimitError
-    otherwise)."""
+    (DimensionMismatch when it does not); up to 512, the Gershgorin bound
+    rho once the scan of 2 rho + 1 integers is within _EIGEN_SCAN_LIMIT
+    (CandidateLimitError otherwise)."""
     n = a.shape[0]
     if n > 512:
         certified = integral_spectrum(a)
@@ -901,7 +910,7 @@ def _candidate_limits(a: np.ndarray) -> list[int] | None:
             f"integer_eigenspaces: {2 * rho + 1} integers in [-{rho}, {rho}] to scan, "
             f"more than {_EIGEN_SCAN_LIMIT}"
         )
-    return None
+    return rho
 
 
 def integer_eigenspaces(a) -> list[tuple[int, list[np.ndarray]]]:
@@ -913,22 +922,24 @@ def integer_eigenspaces(a) -> list[tuple[int, list[np.ndarray]]]:
     chi mod one prime, or past 512 the certified spectrum, proposes the
     eigenvalues; `rational_kernel` decides each candidate: a false one gets
     an empty kernel, and the dimension of a nonempty one is the
-    multiplicity (see the section comment).
+    multiplicity (see the section comment).  a is checked once, here, and
+    not again for each kernel.
     """
     a = _require_ints(_require_symmetric(a))
-    candidates = _candidate_limits(a)
+    limits = _candidate_limits(a)
+    candidates = limits if isinstance(limits, list) else _scanned_candidates(a, limits)
     out = []
-    for lam in _scanned_candidates(a) if candidates is None else candidates:
-        basis = rational_kernel(a, lam)
+    for lam in candidates:
+        basis = _rational_kernel(a, lam)
         if basis:
             out.append((lam, basis))
     return out
 
 
-def _scanned_candidates(a: np.ndarray) -> list[int]:
+def _scanned_candidates(a: np.ndarray, rho: int) -> list[int]:
     """The integers lam of [-rho, rho] with chi(lam) = 0 mod _SCAN_PRIME,
-    ascending; a is n x n with n <= 512 and passed `_candidate_limits`."""
-    rho = gershgorin_bound(a)
+    ascending; a is n x n with n <= 512 and passed `_candidate_limits`,
+    which gave its Gershgorin bound rho."""
     p = _SCAN_PRIME
     chi = _charpoly_mod((_for_residues(a) % p).astype(np.int64, copy=False), p)
     value = _horner_mod(chi.tolist(), np.arange(-rho, rho + 1, dtype=np.int64) % p, p)
@@ -941,24 +952,30 @@ def _scanned_candidates(a: np.ndarray) -> list[int]:
 # an approximate eigenpair (lambda, v) must have ||a v - lambda v|| at most
 # this times ||a||_F ||v||; read at call time
 RESIDUAL_TOL = 1e-8
+# each eigenvalue of `float_eigen` may be off by at most this times ||a||_F
+# in its power-sum check; read at call time
+EIGENVALUE_TOL = 1e-10
 
 
-def _float_eigen_pairs(a, exact=()) -> tuple[np.ndarray, np.ndarray]:
+def _float_eigen_pairs(a: np.ndarray, exact=()) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues, ascending, and unit eigenvectors (columns) of a
-    symmetric integer matrix, each held to ||a v - lambda v|| <=
-    RESIDUAL_TOL * ||a||_F (ConvergenceError otherwise).  Given `exact`,
+    symmetric integer matrix already checked to be one (int64 or object),
+    each held to ||a v - lambda v|| <= RESIDUAL_TOL * ||a||_F; a pair past
+    it, or a LAPACK failure, raises ConvergenceError.  Given `exact`,
     independent eigenvectors of a, only the pairs of their orthogonal
     complement, which a maps into itself: eigh of Q^T a Q, Q an orthonormal
-    basis of the complement (complete QR), with eigenvectors Q y.  An int64
-    matrix is checked and converted without an object copy."""
-    a = _require_symmetric(a)
+    basis of the complement (complete QR), with eigenvectors Q y.  The only
+    caller of `eigh` in the library."""
     af = a.astype(float)
-    if len(exact):
-        q = np.linalg.qr(np.array(exact, dtype=float).T, mode="complete")[0][:, len(exact):]
-        w, y = np.linalg.eigh(q.T @ af @ q)
-        v = q @ y
-    else:
-        w, v = np.linalg.eigh(af)
+    try:
+        if len(exact):
+            q = np.linalg.qr(np.array(exact, dtype=float).T, mode="complete")[0][:, len(exact):]
+            w, y = np.linalg.eigh(q.T @ af @ q)
+            v = q @ y
+        else:
+            w, v = np.linalg.eigh(af)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK failed: {exc}") from exc
     fro = np.linalg.norm(af)
     resid = np.linalg.norm(af @ v - v * w, axis=0)
     if np.any(resid > RESIDUAL_TOL * fro):
@@ -968,13 +985,53 @@ def _float_eigen_pairs(a, exact=()) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def _exact_power_sums(a: np.ndarray, af: np.ndarray) -> tuple[int, int]:
+    """tr(a) and ||a||_F^2 as exact integers: summed from af, a in float64,
+    when n^2 max|a_ij|^2 < 2**53 keeps every partial sum an exact integer,
+    and from the Python ints of a past it."""
+    n = a.shape[0]
+    top = max(af.max(initial=0), -af.min(initial=0))
+    if n * n * top * top < _FLOAT64_EXACT:
+        return int(np.trace(af)), int(np.vdot(af, af))
+    ints = [int(x) for x in a.flat]
+    return sum(ints[:: n + 1]), sum(x * x for x in ints)
+
+
 def float_eigen(a) -> list[float]:
     """All eigenvalues of a symmetric integer matrix, ascending.
 
-    Backed by LAPACK's dense symmetric solver; the residual contract
-    ||a v - lambda v|| <= RESIDUAL_TOL * ||a||_F is verified explicitly for
-    every computed eigenvector and violation raises ConvergenceError.
-    Advisory only: integrality verdicts always come from the exact path.
+    Values only, from LAPACK's dense symmetric solver (`eigvalsh`); a LAPACK
+    failure raises ConvergenceError.  The solver is backward stable: its
+    values are the exact eigenvalues of a + E with ||E||_2 <= c(n) u ||a||_2,
+    u = 2**-53 and c(n) a modest function of n, so by Weyl's inequality
+    each is off by at most ||E||_2, and ||a||_2 <= ||a||_F.  With
+    d = EIGENVALUE_TOL * ||a||_F standing for that bound, with room for the
+    rounding of the sums, the first two power sums are then held a
+    posteriori to exact integers (`_exact_power_sums`):
+
+        |sum w_i - tr a| <= n d,
+        |sum w_i^2 - ||a||_F^2| <= d (2 sqrt(n) ||a||_F + n d),
+
+    the second since sum |lambda_i| <= sqrt(n) ||a||_F; either one missed
+    raises ConvergenceError.  Advisory only: integrality verdicts always
+    come from the exact path.
     """
-    w, _ = _float_eigen_pairs(a)
-    return [float(x) for x in w]
+    a = _require_symmetric(a)
+    af = a.astype(float)
+    try:
+        w = np.linalg.eigvalsh(af)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK failed: {exc}") from exc
+    n = a.shape[0]
+    trace, fro2 = _exact_power_sums(a, af)
+    fro = sqrt(fro2)
+    d = EIGENVALUE_TOL * fro
+    sums = (
+        ("sum of eigenvalues", float(w.sum()), trace, n * d),
+        ("sum of squared eigenvalues", float(w @ w), fro2, d * (2 * sqrt(n) * fro + n * d)),
+    )
+    for name, got, want, slack in sums:
+        # written so that a NaN fails too
+        if not abs(got - want) <= slack:
+            raise ConvergenceError(f"{name} {got!r} is not within {slack:.3e} of {want}")
+    return w.tolist()

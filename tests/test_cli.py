@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from sudoku_spectra.cli import main, search_counts
@@ -432,3 +433,24 @@ def test_search_jobs_clamped_to_cpu_count(monkeypatch, capsys):
     parallel = capsys.readouterr().out
     assert main(["search", "--m", "3", "--count", "4", "--seed", "5"]) == 0
     assert capsys.readouterr().out == parallel
+
+
+def _lapack_failure(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def test_spectrum_float_lapack_failure_exits_3(freeform4_file, monkeypatch, capsys):
+    monkeypatch.setattr(np.linalg, "eigvalsh", _lapack_failure)
+    assert main(["spectrum", freeform4_file, "--float"]) == 3
+    err = capsys.readouterr().err
+    assert err == "compute error: LAPACK failed: Eigenvalues did not converge\n"
+
+
+@pytest.mark.parametrize("routine", ["eigh", "eigvalsh"])
+def test_blowup_verify_lapack_failure_exits_3(routine, freeform4_file, monkeypatch, capsys):
+    # eigh fails in M's non-integer eigenpairs on the worker thread, eigvalsh
+    # in the oracle (and in the closed-form seeds' irrational roots)
+    monkeypatch.setattr(np.linalg, routine, _lapack_failure)
+    assert main(["blowup", freeform4_file, "--k", "2", "--verify"]) == 3
+    err = capsys.readouterr().err
+    assert err == "compute error: LAPACK failed: Eigenvalues did not converge\n"

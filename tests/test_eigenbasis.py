@@ -914,7 +914,7 @@ def test_only_m_is_scanned_and_kernelled(monkeypatch):
     # limit gate, the candidate scan and the exact kernels see M alone
     t = classical_tiling(3)
     seen = []
-    names = ("_candidate_limits", "_scanned_candidates", "rational_kernel")
+    names = ("_candidate_limits", "_scanned_candidates", "_rational_kernel")
     for name in names:
         real = getattr(la, name)
 
@@ -928,3 +928,49 @@ def test_only_m_is_scanned_and_kernelled(monkeypatch):
     m = 9 * d.l_b + 3 * d.l_h + 3 * d.l_v
     assert {name for name, _ in seen} == set(names)
     assert all(np.array_equal(a, m) for _, a in seen)
+
+
+def test_m_is_validated_once(monkeypatch):
+    # classical n=3, k=3: M is checked once, by `integer_eigenspaces`, and
+    # neither its kernels nor the candidate scan check it again; the other
+    # counts are the blown matrix's oracle check, the ranks of the seed and
+    # tail stacks, and the Gershgorin bounds of the limit gate, the exact
+    # eigenvector checks and the factor-level residual clause
+    calls = []
+    for name in ("_require_ints", "_require_symmetric", "gershgorin_bound"):
+        real = getattr(la, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(la, name, counted)
+    verify(classical_tiling(3), 3)
+    counts = {name: calls.count(name) for name in set(calls)}
+    assert counts == {"_require_ints": 9, "_require_symmetric": 2, "gershgorin_bound": 12}
+
+
+def test_blown_matrix_never_reaches_eigh(monkeypatch):
+    # the oracle is values-only: eigh sees only M's complement of its exact
+    # eigenvectors, never the k^2 N blown matrix
+    shapes = []
+    real = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    t = random_tiling(9, 1)
+    verify(t, 2)
+    assert shapes and all(shape[0] < t.n_cells for shape in shapes)
+
+
+def test_multipartite_lapack_failure(monkeypatch):
+    # K_{2,1} has the irrational secular roots +-sqrt(2), valued by eigvalsh
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    with pytest.raises(la.ConvergenceError, match="^LAPACK failed: "):
+        eigenbasis_mod._multipartite_pairs([[0, 1], [2]], 3)

@@ -657,14 +657,14 @@ def test_integer_eigenspaces_false_candidate(monkeypatch):
     a = layers(classical_tiling(2)).l_h
     expected = la.integer_eigenspaces(a)
     kernels = []
-    real = la.rational_kernel
+    real = la._rational_kernel
 
     def recorded(mat, lam):
         kernels.append((lam, len(real(mat, lam))))
         return real(mat, lam)
 
     monkeypatch.setattr(la, "_SCAN_PRIME", 3)
-    monkeypatch.setattr(la, "rational_kernel", recorded)
+    monkeypatch.setattr(la, "_rational_kernel", recorded)
     got = la.integer_eigenspaces(a)
     assert kernels == [(-2, 4), (-1, 0), (0, 8), (1, 0), (2, 4)]
     assert [(lam, [v.tolist() for v in basis]) for lam, basis in got] == \
@@ -677,7 +677,7 @@ def test_limits_raise_before_any_kernel(monkeypatch):
     def no_kernel(*args):
         raise AssertionError("a scan or kernel before the limits were checked")
 
-    monkeypatch.setattr(la, "rational_kernel", no_kernel)
+    monkeypatch.setattr(la, "_rational_kernel", no_kernel)
     monkeypatch.setattr(la, "_scanned_candidates", no_kernel)
     past_scan = int_matrix([[la._EIGEN_SCAN_LIMIT // 2]])
     path = np.zeros((513, 513), dtype=np.int64)
@@ -858,11 +858,75 @@ def test_float_eigen_rounding_reproduces_integer_spectrum():
 
 
 def test_float_eigen_convergence_error(monkeypatch):
-    # an impossible residual target must be reported, not silently ignored
+    # an impossible residual target must be reported, not silently ignored;
+    # the residual contract lives in the pair routine, float_eigen being
+    # values-only
     p3 = int_matrix([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
     monkeypatch.setattr(la, "RESIDUAL_TOL", 0.0)
-    with pytest.raises(la.ConvergenceError):
-        la.float_eigen(p3)
+    with pytest.raises(la.ConvergenceError, match="eigenvector residual"):
+        la._float_eigen_pairs(p3)
+
+
+def _lapack_failure(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def test_float_eigen_lapack_failure(monkeypatch):
+    # a LAPACK failure is a ConvergenceError, which the CLI reports as exit 3
+    monkeypatch.setattr(np.linalg, "eigvalsh", _lapack_failure)
+    with pytest.raises(la.ConvergenceError, match="^LAPACK failed: Eigenvalues did not converge$"):
+        la.float_eigen(la.ones_matrix(3) - la.identity(3))
+
+
+@pytest.mark.parametrize("routine", ["eigh", "qr"])
+def test_float_eigen_pairs_lapack_failure(routine, monkeypatch):
+    a = int_matrix([[0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]])
+    exact = [np.array([1, 0, 0, 0], dtype=object), np.array([0, 1, 0, -1], dtype=object)]
+    monkeypatch.setattr(np.linalg, routine, _lapack_failure)
+    with pytest.raises(la.ConvergenceError, match="^LAPACK failed: "):
+        la._float_eigen_pairs(a, exact=exact)
+
+
+@pytest.mark.parametrize("change", [1e-3, np.nan], ids=["shifted", "nan"])
+def test_float_eigen_power_sum_check(change, monkeypatch):
+    # one value moved by 1e-3, or lost to NaN, misses the exact trace
+    a = la.ones_matrix(9) - la.identity(9)
+    real = np.linalg.eigvalsh
+
+    def moved(x):
+        w = real(x)
+        w[4] += change
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", moved)
+    with pytest.raises(la.ConvergenceError, match="^sum of eigenvalues "):
+        la.float_eigen(a)
+
+
+def test_float_eigen_power_sums_no_false_alarm():
+    # the power-sum slack holds on every matrix the CLI and verify feed the
+    # oracle: graphs of classical and random tilings, blow-ups up to 1296
+    # vertices, and int64 input as well as object
+    from sudoku_spectra.blowup import blown_adjacency
+    from sudoku_spectra.graph import adjacency
+
+    matrices = [adjacency(classical_tiling(n)) for n in (2, 3, 4)]
+    matrices += [adjacency(random_tiling(m, seed)) for m in range(2, 10) for seed in (0, 1)]
+    matrices += [blown_adjacency(t, k) for t in (classical_tiling(3), random_tiling(9, 1))
+                 for k in (2, 3, 4)]
+    for a in matrices:
+        w = la.float_eigen(a)
+        assert len(w) == a.shape[0] and w == sorted(w)
+
+
+def test_exact_power_sums_past_float64():
+    # entries too large for exact float64 sums are summed in Python ints
+    big = 1 << 40
+    a = int_matrix([[big, 1], [1, -big]])
+    af = a.astype(float)
+    assert la._exact_power_sums(a, af) == (0, 2 * big * big + 2)
+    small = int_matrix([[2, -3], [-3, 5]])
+    assert la._exact_power_sums(small, small.astype(float)) == (7, 47)
 
 
 def test_trace_and_gershgorin():

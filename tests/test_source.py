@@ -69,10 +69,10 @@ def test_benchmark_layers_are_functions():
 
 
 def test_eigenbasis_reads_only_allowed_private_linalg_names():
-    # the 2**53 exactness decision and the residual tolerance live in
-    # linalg; eigenbasis calls linalg's public names for them, and reads
-    # only these private ones
-    allowed = {"_float_eigen_pairs", "_candidate_limits", "_require_symmetric"}
+    # the 2**53 exactness decision, the residual tolerance and the input
+    # checks live in linalg; eigenbasis calls linalg's public names for
+    # them, and reads only these private ones
+    allowed = {"_float_eigen_pairs", "_candidate_limits"}
     [(_, tree)] = [(p, t) for p, t in parsed_sources() if p.name == "eigenbasis.py"]
     read = set()
     for node in ast.walk(tree):
@@ -82,3 +82,18 @@ def test_eigenbasis_reads_only_allowed_private_linalg_names():
         elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
             read.update(alias.name for alias in node.names if alias.name.startswith("_"))
     assert read == allowed
+
+
+def test_eigh_only_in_the_pair_routine():
+    # the float oracle is values-only (eigvalsh); eigenvectors come from one
+    # routine, whose vectors the eigenbasis uses, so the oracle cannot drift
+    # back to eigenpairs
+    found = set()
+    for path, tree in parsed_sources():
+        for top in tree.body:
+            where = f"{path.stem}.{getattr(top, 'name', top.lineno)}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "eigh" \
+                        or isinstance(node, ast.alias) and node.name.split(".")[-1] == "eigh":
+                    found.add(where)
+    assert found == {"linalg._float_eigen_pairs"}
