@@ -3,13 +3,24 @@
 Construct graphs from arbitrary equal-size block partitions, compute exact
 spectra over big integers, decide integrality, and analyze k-fold blow-ups
 through their explicit Kronecker-structured eigenvector bases.
+
+The blow-up names (from `blowup` and `eigenbasis`) are loaded on first
+use, so importing the package, or the `spectrum` and `check` commands,
+does not import those modules.
 """
 
-from .blowup import blown_adjacency, reconcile, subsquare_permutation, substitution_set
-from .eigenbasis import blowup_is_integral, build_families, kj_basis, predicted_spectrum, verify
+import importlib
+
 from .graph import adjacency, block_row_profile, layers, template
 from .integrality import check_condition_iii, check_condition_q, check_regcommute, theorem_verdict
-from .spectra import Spectrum, exact_spectrum, is_integral, multipartite_charpoly, multipartite_spectrum
+from .spectra import (
+    Spectrum,
+    exact_spectrum,
+    is_integral,
+    multipartite_charpoly,
+    multipartite_spectrum,
+    tiling_spectrum,
+)
 from .tiling import (
     Tiling,
     blow_up_tiling,
@@ -35,6 +46,7 @@ __all__ = [
     "block_row_profile",
     "template",
     "Spectrum",
+    "tiling_spectrum",
     "exact_spectrum",
     "is_integral",
     "multipartite_charpoly",
@@ -55,3 +67,20 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# name -> submodule, for the names loaded on first use
+_LAZY = {
+    **dict.fromkeys(
+        ("substitution_set", "blown_adjacency", "subsquare_permutation", "reconcile"), "blowup"
+    ),
+    **dict.fromkeys(
+        ("kj_basis", "build_families", "blowup_is_integral", "predicted_spectrum", "verify"),
+        "eigenbasis",
+    ),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)

@@ -3,7 +3,9 @@
 Subcommands: spectrum, check, blowup, search, gen.  Exit codes: 0 ok,
 2 input error, 3 computational error, 4 verification failure.  JSON
 reports emit integers that may exceed 64 bits (polynomial coefficients,
-matrix entries) as decimal strings.
+matrix entries) as decimal strings.  The blow-up modules (`blowup`,
+`eigenbasis`) are imported only by the commands that use them: `blowup`,
+and `search` with a blow-up factor above 1.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from . import blowup, eigenbasis, graph, integrality, linalg, spectra
+from . import graph, integrality, linalg, spectra
 from .linalg import ConvergenceError
 from .tiling import (
     Tiling,
@@ -105,17 +107,16 @@ def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
 
 def cmd_spectrum(args) -> int:
     t = _load_tiling(args.tiling)
-    a = graph.adjacency(t)
     started = time.perf_counter()
     report: dict = {"command": "spectrum", "input": _tiling_json(t)}
     lines = [f"tiling: {args.tiling} (m={t.m}, {t.n_blocks} blocks)"]
     if args.mode in ("exact", "both"):
-        s = spectra.exact_spectrum(a)
+        s = spectra.tiling_spectrum(t)
         report["exact"] = _spectrum_json(s)
         lines.append(f"exact spectrum: {s.digest()}")
         lines.append(f"integral: {s.is_integral} (residual degree {s.residual_degree})")
     if args.mode in ("float", "both"):
-        ev = linalg.float_eigen(a)
+        ev = linalg.float_eigen(graph.adjacency(t))
         report["float"] = ev
         lines.append("float eigenvalues: " + " ".join(f"{x:.6f}" for x in ev))
     report["seconds"] = time.perf_counter() - started
@@ -147,6 +148,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_blowup(args) -> int:
+    from . import blowup, eigenbasis
+
     t = _load_tiling(args.tiling)
     k = args.k
     started = time.perf_counter()
@@ -221,7 +224,7 @@ def search_record(m: int, seed: int, blowup_k: int | None = None) -> dict:
     read off the blow-up's N x N seeds (`eigenbasis.blowup_is_integral`).
     At k = 1 the blow-up is the tiling itself, whose spectrum is at hand."""
     t = random_tiling(m, seed)
-    s = spectra.exact_spectrum(graph.adjacency(t))
+    s = spectra.tiling_spectrum(t)
     rep = integrality.theorem_verdict(t)
     record = {
         "seed": seed,
@@ -232,9 +235,12 @@ def search_record(m: int, seed: int, blowup_k: int | None = None) -> dict:
     }
     if blowup_k is not None:
         record["blowup_k"] = blowup_k
-        record["blowup_integral"] = (
-            s.is_integral if blowup_k == 1 else eigenbasis.blowup_is_integral(t, blowup_k)
-        )
+        if blowup_k == 1:
+            record["blowup_integral"] = s.is_integral
+        else:
+            from . import eigenbasis
+
+            record["blowup_integral"] = eigenbasis.blowup_is_integral(t, blowup_k)
     return record
 
 

@@ -91,31 +91,34 @@ def check_condition_q(t: Tiling, axis: Axis = "row") -> int | None:
     return values.pop() if len(values) == 1 else None
 
 
+# corner tests held in memory at once; past m = 64 they run in slices of r1
+_CORNER_CHUNK = 1 << 24
+
+
 def check_condition_iii(t: Tiling) -> bool:
     """Condition (iii): the row and column layers commute, read off cells.
 
-    For cells c1, c2 in different rows and columns there are exactly two
-    row-then-column paths between them, through the corner cells
-    d1 = (row of c1, column of c2) and d2 = (row of c2, column of c1).
-    A corner is blocked when it shares a block with either endpoint.  The
-    condition: for every such pair, d1 is blocked iff d2 is blocked --
-    which is precisely what entrywise equality of l_h·l_v and l_v·l_h
-    means, counted path by path.
+    For cells c1 = (r1, k1), c2 = (r2, k2) in different rows and columns
+    there are exactly two row-then-column paths between them, through the
+    corner cells d1 = (r1, k2) and d2 = (r2, k1).  A corner is blocked when
+    it shares a block with either endpoint.  The condition: for every such
+    pair, d1 is blocked iff d2 is blocked -- which is precisely what
+    entrywise equality of l_h·l_v and l_v·l_h means, counted path by path.
+    The rule runs over numpy broadcasts of the m x m block grid, indexed
+    (r1, r2, k1, k2).  Pairs in one row or one column need no mask: there
+    each corner is an endpoint, so both are blocked.
     """
     m = t.m
-    b = t.block_of
-    for r1 in range(m):
-        for r2 in range(r1 + 1, m):
-            for c1 in range(m):
-                for c2 in range(m):
-                    if c1 == c2:
-                        continue
-                    b1 = b[r1 * m + c1]
-                    b2 = b[r2 * m + c2]
-                    d1 = b[r1 * m + c2]
-                    d2 = b[r2 * m + c1]
-                    if (d1 in (b1, b2)) != (d2 in (b1, b2)):
-                        return False
+    g = np.array(t.block_of).reshape(m, m)
+    b2 = g[None, :, None, :]
+    d2 = g[None, :, :, None]
+    step = max(1, _CORNER_CHUNK // m**3)
+    for start in range(0, m, step):
+        rows = g[start:start + step]
+        b1 = rows[:, None, :, None]
+        d1 = rows[:, None, None, :]
+        if np.any(((d1 == b1) | (d1 == b2)) != ((d2 == b1) | (d2 == b2))):
+            return False
     return True
 
 

@@ -761,17 +761,29 @@ def _exact_in_float64(row_sum: int, mu_max: int, x_max: int) -> bool:
     return (row_sum + mu_max) * x_max < _FLOAT64_EXACT
 
 
+def _max_row_sum(a: np.ndarray) -> int:
+    """`gershgorin_bound` of an integer matrix as `_for_residues` returns
+    it: summed in int64 while n * max|a_ij| < 2**63 keeps every row sum
+    exact, on Python ints otherwise."""
+    if a.dtype == np.int64 and a.size and max(-int(a.min()), int(a.max())) * a.shape[1] < 1 << 63:
+        return int(np.abs(a).sum(axis=1).max())
+    return gershgorin_bound(a)
+
+
 def eigen_mismatch(mat, vectors, values) -> np.ndarray:
     """Boolean mask over `vectors`, a nonempty list of integer vectors:
     True where mat @ x != mu * x, mu the integer in `values` at the same
     position, decided exactly: in one float64 product when
     `_exact_in_float64` allows it, vector by vector on the object array
-    past it."""
+    past it.  The row sums and the float copy come from mat in int64, so
+    the object array is read once."""
     x = np.array(vectors, dtype=object)
     mu = np.array(values, dtype=object)
-    if _exact_in_float64(gershgorin_bound(mat), int(np.abs(mu).max()), int(np.abs(x).max())):
+    a = _for_residues(mat)
+    if _exact_in_float64(_max_row_sum(a), int(np.abs(mu).max()), int(np.abs(x).max())):
+        # past the bound whenever a did not fit in int64, so a is int64 here
         xf = x.T.astype(float)
-        return np.any(np.asarray(mat, dtype=float) @ xf != xf * mu.astype(float), axis=0)
+        return np.any(a.astype(float) @ xf != xf * mu.astype(float), axis=0)
     return np.array([bool(np.any(mat[:, v != 0] @ v[v != 0] != m * v)) for v, m in zip(x, mu)])
 
 

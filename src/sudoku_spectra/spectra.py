@@ -1,24 +1,37 @@
 """Exact spectra: integer eigenvalues with multiplicities plus a residual
 certificate for the non-integer part.
 
-`exact_spectrum` has two routes, and both are exact.  An integral matrix
-is proven integral by annihilation (`linalg.integral_spectrum`): float
-eigenvalues propose the integer candidates S, the product of (A - lam I)
-over S is shown to vanish modulo enough primes, and power traces mod p give
-the multiplicities.  Floats never decide; when no certificate is found,
-the matrix takes the characteristic-polynomial route (`linalg.char_poly`,
-then integer root extraction), whose residual polynomial certifies the
-non-integer part.  Only that route is limited to n <= 512.
+`tiling_spectrum` is the one tiling-level entry point.  It tries three
+routes in order, and all of them are exact:
+
+1. The partition lattice (`_lattice_spectrum`), from the tiling's cell
+   labels alone: when the row, column, block, row∩block and column∩block
+   partitions have classes of one size each and their projections commute,
+   the spectrum is read off the join class counts.  No matrix is built.
+2. Annihilation (`linalg.integral_spectrum`), on the adjacency matrix:
+   float eigenvalues propose the integer candidates S, the product of
+   (A - lam I) over S is shown to vanish modulo enough primes, and power
+   traces mod p give the multiplicities.  Floats never decide.
+3. The characteristic polynomial (`linalg.char_poly`, then integer root
+   extraction), whose residual polynomial certifies the non-integer part.
+   Only this route is limited to n <= 512.
+
+Routes 2 and 3 are `exact_spectrum`, which takes any symmetric integer
+matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import linalg
+import numpy as np
+
+from . import graph, linalg
+from .tiling import Tiling
 
 __all__ = [
     "Spectrum",
+    "tiling_spectrum",
     "exact_spectrum",
     "is_integral",
     "multipartite_charpoly",
@@ -82,6 +95,139 @@ def exact_spectrum(a) -> Spectrum:
     bound = linalg.gershgorin_bound(a)
     roots, residual = linalg.integer_roots(poly, max_abs_root=bound)
     return Spectrum(tuple(roots), residual)
+
+
+def tiling_spectrum(t: Tiling) -> Spectrum:
+    """Exact spectrum of the tiling's graph: read off the partition lattice
+    when that applies, otherwise `exact_spectrum` of the adjacency matrix
+    (the routes in order are in the module docstring)."""
+    s = _lattice_spectrum(t)
+    return s if s is not None else exact_spectrum(graph.adjacency(t))
+
+
+# ---------------------------------------------------------------------------
+# the partition lattice
+#
+# Five partitions of the cells: rows R, columns C, blocks B, and the pieces
+# RB (row ∩ block) and CB (column ∩ block).  With J_X the 0/1 matrix of
+# "same X-class", inclusion-exclusion on the three relations gives
+#     A + I = J_R + J_C + J_B - J_RB - J_CB,
+# since R ∧ C is the diagonal.  When X's classes all have size s_X,
+# J_X = s_X P_X, P_X the orthogonal projection onto U_X, the span of X's
+# class indicators.  Commuting projections have a joint eigenbasis, and a
+# product of them projects onto the intersection of their ranges, which is
+# U_{∨T} for the join ∨T (its classes are the connected unions of
+# classes); so tr prod_{X in T} P_X = #classes(∨T).  The joint eigenspace
+# where P_X is 1 for X in E and 0 for X not in E then has dimension
+# sum_{T ⊇ E} (-1)^{|T - E|} #classes(∨T), and A acts on it as
+# sum_{X in E} ±s_X - 1, with minus for RB and CB.
+#
+# P_X and P_Y commute iff in every class z of X ∨ Y every X-class meets
+# every Y-class in |x| |y| / |z| cells (Tjur's criterion for orthogonal
+# factors, Internat. Statist. Rev. 52, 1984).  With one size per partition
+# it is enough that every nonempty meet has s_X s_Y / |z| cells: then each
+# x-class meets |z| / s_Y y-classes, which are all of those in z.
+#
+# Of the ten pairs, five always commute: R and C (each row meets each
+# column once, and R ∨ C is one class), and the refinements RB of R and of
+# B, CB of C and of B (P_X P_Y = P_Y when X refines Y).  R-B, C-B, R-CB and
+# C-RB are tested.  RB-CB then commutes too: a CB piece meets each row in
+# at most one cell, so R-CB commuting makes every class of R ∨ CB a band of
+# q_col rows that each of its CB pieces spans; likewise C-RB gives stacks
+# of q_row columns, so the classes of RB ∨ CB are the q_col x q_row
+# rectangles band x stack, in which every RB piece meets every CB piece
+# once.  RB ∨ CB thus has n / (q_row q_col) classes.  Refinement also makes
+# ∨T the join of T's maximal members: none, one partition, R and C (one
+# class, as is R, C and B), or one of the five pairs above.  Everything is
+# integer counting on cell labels.
+
+_R, _C, _B, _RB, _CB = (1 << i for i in range(5))
+# the pairs whose commutation is tested (see above for the other six)
+_TESTED_PAIRS = (_R | _B, _C | _B, _R | _CB, _C | _RB)
+
+
+def _compact(labels: np.ndarray) -> np.ndarray:
+    """The cell labels renumbered 0 .. #classes - 1."""
+    return np.unique(labels, return_inverse=True)[1]
+
+
+def _join(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cell labels of the join of two partitions, each class labelled by
+    the least x-label in it: the minimum is propagated over y-classes, then
+    x-classes, until it is constant on both."""
+    big = len(x)
+    z = x
+    while True:
+        least = np.full(big, big)
+        np.minimum.at(least, y, z)
+        w = least[y]
+        least[:] = big
+        np.minimum.at(least, x, w)
+        w = least[x]
+        # w <= least over y-classes <= z, so w == z means z is constant on both
+        if np.array_equal(w, z):
+            return z
+        z = w
+
+
+def _commuting_join(x: np.ndarray, y: np.ndarray, sx: int, sy: int) -> int | None:
+    """#classes(X ∨ Y) when P_X and P_Y commute (every nonempty meet has
+    sx sy / |z| cells, z its class of the join), else None."""
+    z = _join(x, y)
+    z_size = np.bincount(z)
+    _, meet, meet_size = np.unique(x * len(x) + y, return_inverse=True, return_counts=True)
+    if not np.all(meet_size[meet] * z_size[z] == sx * sy):
+        return None
+    return int(np.count_nonzero(z_size))
+
+
+def _lattice_spectrum(t: Tiling) -> Spectrum | None:
+    """The spectrum read off the partition lattice (see the section
+    comment), or None when the row∩block or column∩block pieces vary in
+    size or a tested pair of projections does not commute."""
+    m, nb = t.m, t.n_blocks
+    n = m * m
+    cell = np.arange(n)
+    row, col, blk = cell // m, cell % m, np.array(t.block_of)
+    labels = (row, col, blk, _compact(row * nb + blk), _compact(col * nb + blk))
+    sizes = []
+    classes = {0: n}
+    for bit, x in enumerate(labels):
+        counts = np.bincount(x)
+        size = int(counts.max())
+        if size * len(counts) != n:  # the sizes add up to n, so all equal size
+            return None
+        sizes.append(size)
+        classes[1 << bit] = len(counts)
+    classes[_R | _C] = 1
+    classes[_RB | _CB] = n // (sizes[3] * sizes[4])
+    for pair in _TESTED_PAIRS:
+        i, j = (bit for bit in range(5) if pair >> bit & 1)
+        count = _commuting_join(labels[i], labels[j], sizes[i], sizes[j])
+        if count is None:
+            return None
+        classes[pair] = count
+
+    def maximal(members: int) -> int:
+        if members & (_R | _B):
+            members &= ~_RB
+        if members & (_C | _B):
+            members &= ~_CB
+        return _R | _C if members & _R and members & _C else members
+
+    # dims[E] = sum over T ⊇ E of (-1)^|T - E| #classes(∨T), one bit at a time
+    dims = [classes[maximal(members)] for members in range(32)]
+    for bit in range(5):
+        for members in range(32):
+            if not members >> bit & 1:
+                dims[members] -= dims[members | 1 << bit]
+    signed = (sizes[0], sizes[1], sizes[2], -sizes[3], -sizes[4])
+    spectrum: dict[int, int] = {}
+    for pattern, dim in enumerate(dims):
+        if dim:
+            lam = sum(s for bit, s in enumerate(signed) if pattern >> bit & 1) - 1
+            spectrum[lam] = spectrum.get(lam, 0) + dim
+    return Spectrum(tuple(sorted(spectrum.items())), (1,))
 
 
 def is_integral(a) -> bool:

@@ -19,6 +19,11 @@ mod a prime (`linalg._rref_mod`):
   clauses on the expanded k^2 N-vectors of the blow-up families
   (`blown_vectors`), which the factor-level clauses of `eigenbasis.verify`
   must agree with.
+- `condition_iii_cells` is condition (iii) as four loops over cell pairs,
+  the reference for the broadcast `integrality.check_condition_iii`;
+- `scaled_projection` builds a partition's class-indicator projection as a
+  dense integer matrix, for the commutation test of the partition lattice
+  in `spectra`;
 `spectrum_charpoly`, `poly_eval`, `trace` and `eigenvalue_sum` read a
 spectrum back as the quantities `char_poly` and the float oracle are
 checked against; `int_matrix` and `zeros_matrix` build the tests'
@@ -26,7 +31,7 @@ object-int matrices.
 """
 
 import operator
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -343,3 +348,35 @@ def eigenvalue_sum(s) -> int:
     if s.residual_degree > 0:
         total -= s.residual[-2]
     return total
+
+
+def condition_iii_cells(t) -> bool:
+    """Condition (iii) cell pair by cell pair: for cells (r1, c1), (r2, c2)
+    in different rows and columns, the corner (r1, c2) shares a block with
+    an endpoint iff the corner (r2, c1) does."""
+    m = t.m
+    b = t.block_of
+    for r1 in range(m):
+        for r2 in range(r1 + 1, m):
+            for c1 in range(m):
+                for c2 in range(m):
+                    if c1 == c2:
+                        continue
+                    b1 = b[r1 * m + c1]
+                    b2 = b[r2 * m + c2]
+                    d1 = b[r1 * m + c2]
+                    d2 = b[r2 * m + c1]
+                    if (d1 in (b1, b2)) != (d2 in (b1, b2)):
+                        return False
+    return True
+
+
+def scaled_projection(labels) -> tuple[np.ndarray, int]:
+    """(L P, L) for the orthogonal projection P onto the span of the class
+    indicators of a cell partition (one label per cell): P = Phi D Phi^T,
+    Phi the cell-by-class indicator matrix and D the inverse class sizes,
+    scaled by L, the lcm of the class sizes, to an int64 matrix."""
+    _, cls, sizes = np.unique(np.asarray(labels), return_inverse=True, return_counts=True)
+    scale = lcm(*sizes.tolist())
+    phi = (cls[:, None] == np.arange(len(sizes))[None, :]).astype(np.int64)
+    return (phi * (scale // sizes)) @ phi.T, scale

@@ -212,13 +212,13 @@ def test_search_summary_keys(blowup, capsys):
 
 
 def test_blowup_verify_failure_exits_4(classical2_file, monkeypatch, capsys):
-    import sudoku_spectra.cli as cli_mod
+    import sudoku_spectra.eigenbasis as eigenbasis_mod
     from sudoku_spectra.eigenbasis import VerificationFailure
 
     def boom(t, k, **kwargs):
         raise VerificationFailure("basis-rank", "injected")
 
-    monkeypatch.setattr(cli_mod.eigenbasis, "verify", boom)
+    monkeypatch.setattr(eigenbasis_mod, "verify", boom)
     assert main(["blowup", classical2_file, "--k", "2", "--verify"]) == 4
     assert "verification failed" in capsys.readouterr().err
 
@@ -279,44 +279,52 @@ def test_search_blowup_past_char_poly_limit(seed, integral, capsys):
 
 
 def test_search_blowup_reads_seeds_only(monkeypatch, capsys):
-    import sudoku_spectra.cli as cli_mod
+    import sudoku_spectra.blowup as blowup_mod
     import sudoku_spectra.eigenbasis as eigenbasis_mod
+    import sudoku_spectra.spectra as spectra_mod
 
     def forbidden(t, k):
         raise AssertionError("search built the blown adjacency")
 
-    real = cli_mod.spectra.exact_spectrum
+    real = spectra_mod.exact_spectrum
     sizes = []
 
     def sized(a):
         sizes.append((a.shape[0], max(a.flat)))
         return real(a)
 
-    monkeypatch.setattr(cli_mod.blowup, "blown_adjacency", forbidden)
+    monkeypatch.setattr(blowup_mod, "blown_adjacency", forbidden)
     monkeypatch.setattr(eigenbasis_mod, "blown_adjacency", forbidden)
-    monkeypatch.setattr(cli_mod.spectra, "exact_spectrum", sized)
-    # random_tiling(3, 27) is integral, so all three seed spectra are computed
-    assert main(["search", "--m", "3", "--count", "1", "--seed", "27", "--blowup-k", "3"]) == 0
-    # N x N matrices only; the largest entry, k^2 = 9, is M's
-    assert sizes and max(sizes) == (9, 9)
+    monkeypatch.setattr(spectra_mod, "exact_spectrum", sized)
+    # random_tiling(4, 3170) is not integral, but its row and column layers
+    # are, so the blow-up test reaches M; the partition lattice rejects the
+    # tiling, so its own spectrum comes from the adjacency matrix
+    assert main(["search", "--m", "4", "--count", "1", "--seed", "3170", "--blowup-k", "3"]) == 0
+    # N x N matrices only: the tiling's adjacency, then M, whose largest
+    # entry is k^2 = 9
+    assert sizes == [(16, 1), (16, 9)]
 
 
-@pytest.mark.parametrize("m, seed", [(3, 27), (3, 0), (4, 5)])
-def test_search_blowup_k1_reuses_spectrum(m, seed, monkeypatch):
-    # the 1-fold blow-up is the tiling itself: one characteristic polynomial
+@pytest.mark.parametrize("m, seed, lattice", [
+    pytest.param(m, seed, lattice, id=f"{m}-{seed}")
+    for m, seed, lattice in [(3, 27, True), (3, 0, False), (4, 5, False)]
+])
+def test_search_blowup_k1_reuses_spectrum(m, seed, lattice, monkeypatch):
+    # the 1-fold blow-up is the tiling itself: one spectrum, from the
+    # partition lattice when it applies and from the adjacency otherwise
     import sudoku_spectra.cli as cli_mod
+    import sudoku_spectra.spectra as spectra_mod
 
-    real = cli_mod.spectra.exact_spectrum
-    calls = []
-
-    def counted(a):
-        calls.append(a.shape[0])
-        return real(a)
-
-    monkeypatch.setattr(cli_mod.spectra, "exact_spectrum", counted)
+    real_tiling, real_exact = spectra_mod.tiling_spectrum, spectra_mod.exact_spectrum
+    tiling_calls, exact_calls = [], []
+    monkeypatch.setattr(spectra_mod, "tiling_spectrum",
+                        lambda t: tiling_calls.append(t.m) or real_tiling(t))
+    monkeypatch.setattr(spectra_mod, "exact_spectrum",
+                        lambda a: exact_calls.append(a.shape[0]) or real_exact(a))
     rec = cli_mod.search_record(m, seed, 1)
-    assert calls == [m * m]
-    assert rec["blowup_k"] == 1 and rec["blowup_integral"] == rec["integral"]
+    assert tiling_calls == [m]
+    assert exact_calls == ([] if lattice else [m * m])
+    assert rec["blowup_k"] == 1 and rec["blowup_integral"] == rec["integral"] == lattice
 
 
 def test_spectrum_past_char_poly_limit_exits_3(tmp_path, capsys):
@@ -364,15 +372,17 @@ def test_spectrum_classical5_past_char_poly_limit(tmp_path, capsys):
     assert exact["integral"] is True
 
 
-def test_compute_error_exits_3(classical2_file, monkeypatch, capsys):
-    import sudoku_spectra.cli as cli_mod
+def test_compute_error_exits_3(freeform4_file, monkeypatch, capsys):
+    # the partition lattice rejects the free-form example, so its spectrum
+    # comes from the adjacency matrix
+    import sudoku_spectra.spectra as spectra_mod
     from sudoku_spectra.linalg import ConvergenceError
 
     def boom(a):
         raise ConvergenceError("injected")
 
-    monkeypatch.setattr(cli_mod.spectra, "exact_spectrum", boom)
-    assert main(["spectrum", classical2_file, "--exact"]) == 3
+    monkeypatch.setattr(spectra_mod, "exact_spectrum", boom)
+    assert main(["spectrum", freeform4_file, "--exact"]) == 3
     assert "compute error" in capsys.readouterr().err
 
 

@@ -934,10 +934,11 @@ def test_m_is_validated_once(monkeypatch):
     # classical n=3, k=3: M is checked once, by `integer_eigenspaces`, and
     # neither its kernels nor the candidate scan check it again; the other
     # counts are the blown matrix's oracle check, the ranks of the seed and
-    # tail stacks, and the Gershgorin bounds of the limit gate, the exact
-    # eigenvector checks and the factor-level residual clause
+    # tail stacks, and the Gershgorin bounds of M's limit gate (on both
+    # threads); the exact eigenvector checks of the kernel lifts and of the
+    # factor-level residual clause sum rows in int64 instead
     calls = []
-    for name in ("_require_ints", "_require_symmetric", "gershgorin_bound"):
+    for name in ("_require_ints", "_require_symmetric", "gershgorin_bound", "_max_row_sum"):
         real = getattr(la, name)
 
         def counted(*args, _real=real, _name=name):
@@ -947,7 +948,8 @@ def test_m_is_validated_once(monkeypatch):
         monkeypatch.setattr(la, name, counted)
     verify(classical_tiling(3), 3)
     counts = {name: calls.count(name) for name in set(calls)}
-    assert counts == {"_require_ints": 9, "_require_symmetric": 2, "gershgorin_bound": 12}
+    assert counts == {"_require_ints": 9, "_require_symmetric": 2, "gershgorin_bound": 2,
+                      "_max_row_sum": 10}
 
 
 def test_blown_matrix_never_reaches_eigh(monkeypatch):

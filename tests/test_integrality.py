@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import sudoku_spectra.integrality as integrality_mod
 from sudoku_spectra.graph import adjacency, layers
 from sudoku_spectra.integrality import (
     GUARANTEED_INTEGRAL,
@@ -15,6 +16,7 @@ from sudoku_spectra.spectra import is_integral
 from sudoku_spectra.tiling import Tiling, classical_tiling, random_tiling, row_tiling
 
 from conftest import tilings
+from oracles import condition_iii_cells
 
 
 # Matrix forms of the conditions: the references the production checks,
@@ -247,7 +249,7 @@ def test_exhaustive_m3_conditions_match_matrix_forms():
     # every 3x3 tiling, both axes: the profile and cell forms equal the
     # layer-matrix forms
     for t in all_m3_tilings():
-        assert check_condition_iii(t) == layers_commute(t), t
+        assert check_condition_iii(t) == layers_commute(t) == condition_iii_cells(t), t
         for axis in ("row", "column"):
             rc = check_regcommute(t, axis)
             assert (rc.regular, rc.commutes_with_blocks) == layer_regcommute(t, axis), (t, axis)
@@ -256,7 +258,21 @@ def test_exhaustive_m3_conditions_match_matrix_forms():
 @given(tilings(min_m=2, max_m=5))
 @settings(max_examples=40, deadline=None)
 def test_condition_iii_equivalence_property(t):
-    assert check_condition_iii(t) == layers_commute(t)
+    assert check_condition_iii(t) == layers_commute(t) == condition_iii_cells(t)
+
+
+# condition (iii) fails here only for row pairs (1, 2) and (1, 3), so a
+# slice holding row 0 alone passes
+LATE_FAILURE4 = Tiling(4, (1, 2, 3, 0, 2, 0, 1, 3, 3, 0, 1, 2, 2, 1, 0, 3))
+
+
+@pytest.mark.parametrize("t", [classical_tiling(2), row_tiling(4), LATE_FAILURE4],
+                         ids=["c2", "row4", "late-failure"])
+@pytest.mark.parametrize("rows", [1, 2, 4])
+def test_condition_iii_in_slices(t, rows, monkeypatch):
+    # slices of one, two or all four rows r1 give the loops' verdict
+    monkeypatch.setattr(integrality_mod, "_CORNER_CHUNK", rows * 4**3)
+    assert check_condition_iii(t) == condition_iii_cells(t) == (t != LATE_FAILURE4)
 
 
 @given(tilings(min_m=2, max_m=5))

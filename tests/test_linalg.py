@@ -576,6 +576,19 @@ def test_eigen_mismatch_bound_reads_all_three_sizes(monkeypatch):
     assert seen == [(7, 4, 3)]
 
 
+@pytest.mark.parametrize("rows", [
+    [[1, -2], [-2, 5]],
+    [[0, 0], [0, 0]],
+    [[-(2**62), -(2**62)], [0, 1]],  # a row sum of 2**63: Python ints
+    [[-(2**63), 0], [0, 0]],  # fits int64, but its absolute value does not
+    [[2**70, 3], [3, -(2**70)]],  # does not fit int64
+])
+def test_max_row_sum_is_the_gershgorin_bound(rows):
+    a = int_matrix(rows)
+    assert la._max_row_sum(la._for_residues(a)) == la.gershgorin_bound(a)
+    assert la._max_row_sum(la._for_residues(np.zeros((0, 0), dtype=object))) == 0
+
+
 def _count_rref_calls(monkeypatch) -> list:
     calls = []
     real = la._rref_mod

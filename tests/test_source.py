@@ -2,7 +2,12 @@ import ast
 import importlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE_DIR = ROOT / "src" / "sudoku_spectra"
@@ -97,3 +102,66 @@ def test_eigh_only_in_the_pair_routine():
                         or isinstance(node, ast.alias) and node.name.split(".")[-1] == "eigh":
                     found.add(where)
     assert found == {"linalg._float_eigen_pairs"}
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SOURCE_DIR.parent)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
+def test_cli_import_leaves_the_blowup_modules_unloaded():
+    # `spectrum` and `check` pay no import for the blow-up modules
+    proc = _run_python(
+        "import sys, sudoku_spectra.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('sudoku_spectra')))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(eval(proc.stdout))
+    assert "sudoku_spectra.cli" in loaded
+    assert not loaded & {"sudoku_spectra.eigenbasis", "sudoku_spectra.blowup"}
+
+
+def test_package_exports_load_on_first_use():
+    proc = _run_python(
+        "import sys\n"
+        "from sudoku_spectra import verify, blown_adjacency\n"
+        "import sudoku_spectra.blowup as b, sudoku_spectra.eigenbasis as e\n"
+        "print(verify is e.verify, blown_adjacency is b.blown_adjacency)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True"]
+    import sudoku_spectra
+
+    assert all(hasattr(sudoku_spectra, name) for name in sudoku_spectra.__all__)
+    with pytest.raises(AttributeError):
+        sudoku_spectra.no_such_name
+
+
+def test_cli_and_scripts_reach_spectra_only_through_tiling_spectrum():
+    # one tiling-level entry point: no caller outside the library picks an
+    # exact route itself (`is_integral` is also a `Spectrum` property, so
+    # only its read from spectra would count)
+    routes = {"exact_spectrum", "integral_spectrum", "char_poly", "integer_roots",
+              "_lattice_spectrum"}
+    read_from_spectra, routes_named = set(), set()
+    trees = [(p, t) for p, t in parsed_sources(SOURCE_DIR, SCRIPTS_DIR)
+             if p.parent == SCRIPTS_DIR or p.name == "cli.py"]
+    for path, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.value, ast.Name) and node.value.id == "spectra":
+                    read_from_spectra.add(node.attr)
+                if node.attr in routes:
+                    routes_named.add(f"{path.name}:{node.attr}")
+            elif isinstance(node, ast.Name) and node.id in routes:
+                routes_named.add(f"{path.name}:{node.id}")
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                if (node.module or "").endswith("spectra"):
+                    read_from_spectra |= names
+                routes_named |= {f"{path.name}:{name}" for name in names & routes}
+    assert len(trees) == 3
+    assert read_from_spectra == {"tiling_spectrum", "Spectrum"}
+    assert routes_named == set()
