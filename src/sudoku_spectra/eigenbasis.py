@@ -2,32 +2,27 @@
 
 For a blow-up factor k, a full eigenbasis of the blown-up adjacency (in
 subsquare vertex order) is assembled from Kronecker products x (x) w of an
-N x N seed's eigenvector x and a k^2-vector w, one family per row of
-`_family_table`:
+N x N seed's eigenvector x and a k^2-vector w.  Each row of
+`_family_table` is a family's tails w and their eigenvalues
+(beta, eta, nu, delta) under B, H, V and D; its seeds x are eigenvectors of
+S = beta l_b + eta l_h + nu l_v, and x (x) w has eigenvalue S-value + delta:
 
-  XV:  seed l_v,  w = 1_k (x) y   -> eigenvalue lam*k - 1
-  XH:  seed l_h,  w = y (x) 1_k   -> eigenvalue lam*k - 1
-  XE:  seeds e_i, w = y (x) z     -> eigenvalue -1
-  XM:  seed M = k^2 l_b + k l_h + k l_v,  w = 1_{k^2}  -> eigenvalue lam + k^2 - 1
+  XV:  w = 1_k (x) y,  (0, 0, k, -1):          S = k l_v,  value k lam - 1
+  XH:  w = y (x) 1_k,  (0, k, 0, -1):          S = k l_h,  value k lam - 1
+  XE:  w = y (x) z,    (0, 0, 0, -1):          S = 0,      value -1
+  XM:  w = 1_{k^2},    (k^2, k, k, k^2 - 1):   S = M,      value lam + k^2 - 1
 
-with lam the seed eigenvalue of x and y, z in ker(J_k).  With N cells in
-the original grid the families have sizes (k-1)N, (k-1)N, (k-1)^2 N and N,
-totalling k^2 N, and they are jointly independent; the largest eigenvalue
-always comes from XM.  The seeds of XV and XH have closed-form
-eigenspaces (`layer_eigenspaces`): each row of l_h, and each column of
-l_v, is a complete multipartite graph on the blocks it crosses, whose
-eigenvectors are differences inside a part (value 0), differences of equal
-parts (value -a) and one vector per root of a secular polynomial, which an
-exact integer scan decides.  M goes through `eigenvector_basis` (M up to
-512 x 512, or larger when proven integral): the integer eigenvalues and
-their exact integer bases come from `linalg.integer_eigenspaces`, where the
-characteristic polynomial mod one prime proposes candidates in the
-Gershgorin range and exact rational kernels decide them, so floats never
-decide which vectors are exact.  The non-integer eigenpairs live in the
-orthogonal complement of the exact vectors; `eigh` on that complement
-(`linalg._float_eigen_pairs`) gives them, one vector each, flagged
-approximate and held to its residual contract, as are the closed form's
-non-integer roots.
+with lam an eigenvalue of l_v, l_h or M and y, z in ker(J_k).  With N
+cells in the original grid the families have sizes (k-1)N, (k-1)N,
+(k-1)^2 N and N, totalling k^2 N, and they are jointly independent, so the
+blown spectrum is the union over the families f of spec S_f + delta_f,
+each repeated once per tail of f; the largest eigenvalue always comes from
+XM.  The seeds of XV and XH have closed-form eigenspaces
+(`layer_eigenspaces`), with no kernel, scan or size limit; M's come from
+`eigenvector_basis`, where exact kernels decide the integer eigenspaces
+(M up to 512 x 512, or larger when proven integral) and floats never
+decide which vectors are exact.  Non-integer eigenpairs, of M or of a
+closed form, are flagged approximate and held to a residual contract.
 
 A family is kept in factored form, its seed eigenspaces and its tails w,
 and `verify` proves the basis on those factors, never on the k^2 N blown
@@ -284,47 +279,61 @@ def layer_eigenspaces(t: Tiling, axis: graph.Axis) -> list[EigenSpace]:
     return spaces
 
 
-def _family_table(t: Tiling, k: int) -> tuple:
-    """The blow-up structure theorem, one row per family: (kind, seed, the
+def _family_table(k: int) -> tuple:
+    """The blow-up structure theorem, one row per family: (kind, the
     k^2-vectors each seed eigenvector is tensored with, their eigenvalues
-    (beta, eta, nu, delta) under B, H, V and D, seed eigenvalue -> blow-up
-    eigenvalue).  The seed is the axis of l_v or l_h for XV and XH, whose
-    eigenspaces have a closed form (`layer_eigenspaces`), None for the
-    unit-vector seeds of XE and the N x N matrix M for XM.
-    """
+    (beta, eta, nu, delta) under B, H, V and D); the module docstring
+    states what the coefficients give the seeds and their values."""
     kj = kj_basis(k)
     ones_k = all_ones(k)
-    d = graph.layers(t)
     return (
-        ("XV", "column", [kron(ones_k, y) for y in kj], (0, 0, k, -1), lambda lam: lam * k - 1),
-        ("XH", "row", [kron(y, ones_k) for y in kj], (0, k, 0, -1), lambda lam: lam * k - 1),
-        ("XE", None, [kron(y, z) for y in kj for z in kj], (0, 0, 0, -1), lambda lam: -1),
-        ("XM", k * k * d.l_b + k * d.l_h + k * d.l_v, [all_ones(k * k)],
-         (k * k, k, k, k * k - 1), lambda lam: lam + k * k - 1),
+        ("XV", [kron(ones_k, y) for y in kj], (0, 0, k, -1)),
+        ("XH", [kron(y, ones_k) for y in kj], (0, k, 0, -1)),
+        ("XE", [kron(y, z) for y in kj for z in kj], (0, 0, 0, -1)),
+        ("XM", [all_ones(k * k)], _m_coefficients(k)),
     )
+
+
+def _m_coefficients(k: int) -> tuple[int, int, int, int]:
+    """XM's (beta, eta, nu, delta): its seed operator is
+    M = k^2 l_b + k l_h + k l_v, and its values are shifted by k^2 - 1."""
+    return (k * k, k, k, k * k - 1)
+
+
+def _seed_operator(d: graph.LayerDecomposition, coefficients) -> np.ndarray:
+    """S = beta l_b + eta l_h + nu l_v, the N x N seed operator of the
+    family with these (beta, eta, nu, delta)."""
+    beta, eta, nu, _ = coefficients
+    return beta * d.l_b + eta * d.l_h + nu * d.l_v
+
+
+def _seed_spaces(t: Tiling, coefficients) -> list[EigenSpace]:
+    """Maximal independent eigenvector sets of `_seed_operator`, valued
+    under it.  S = 0 takes the unit vectors, value 0; S = c l_h or c l_v
+    takes the closed form of that layer (`layer_eigenspaces`), values
+    scaled by c; any other S (M) goes through `eigenvector_basis`, its
+    candidate scan and exact kernels."""
+    beta, eta, nu, _ = coefficients
+    if beta or (eta and nu):
+        return eigenvector_basis(_seed_operator(graph.layers(t), coefficients))
+    if eta or nu:
+        c, axis = (eta, "row") if eta else (nu, "column")
+        return [EigenSpace(c * s.value, s.vectors, s.exact) for s in layer_eigenspaces(t, axis)]
+    return [EigenSpace(0, tuple(unit_vector(t.n_cells, i) for i in range(t.n_cells)), True)]
 
 
 def build_families(t: Tiling, k: int) -> tuple[EigenFamily, EigenFamily, EigenFamily, EigenFamily]:
     """Assemble the four eigenvector families of the k-fold blow-up, each
-    as its seed eigenspaces (valued at the blow-up eigenvalue) and tails.
-    XV and XH take their seeds in closed form; M alone goes through
-    `eigenvector_basis`, its candidate scan and exact kernels.
+    as its seed eigenspaces (`_seed_spaces`, valued at the blow-up
+    eigenvalue) and tails.
 
     For k = 1 the first three families are empty (ker(J_1) is trivial) and
     XM alone is a full eigenbasis of the original adjacency.
     """
     families = []
-    for kind, seed, tails, coefficients, to_blown in _family_table(t, k):
-        spaces: tuple[EigenSpace, ...] = ()
-        if tails:
-            if seed is None:  # XE: its eigenvalue map ignores the value
-                units = tuple(unit_vector(t.n_cells, i) for i in range(t.n_cells))
-                seed_spaces = [EigenSpace(0, units, True)]
-            elif isinstance(seed, str):
-                seed_spaces = layer_eigenspaces(t, seed)
-            else:
-                seed_spaces = eigenvector_basis(seed)
-            spaces = tuple(EigenSpace(to_blown(s.value), s.vectors, s.exact) for s in seed_spaces)
+    for kind, tails, coefficients in _family_table(k):
+        seeds = _seed_spaces(t, coefficients) if tails else []
+        spaces = tuple(EigenSpace(s.value + coefficients[3], s.vectors, s.exact) for s in seeds)
         families.append(EigenFamily(kind, spaces, tuple(tails), coefficients))
     return tuple(families)  # type: ignore[return-value]
 
@@ -332,22 +341,18 @@ def build_families(t: Tiling, k: int) -> tuple[EigenFamily, EigenFamily, EigenFa
 def blowup_is_integral(t: Tiling, k: int) -> bool:
     """True iff the k-fold blow-up of t has an integral spectrum.
 
-    Decided on the seeds of the nonempty families, never on the k^2 N
-    blown matrix: a seed eigenvalue lam is an algebraic integer, so lam*k
-    - 1 and lam + k^2 - 1 are integers iff lam is.  l_v and l_h are
-    integral iff every secular root of every line is an integer
-    (`_secular_roots`); M's exact spectrum decides the rest.
+    Decided on the seed operators, never on the k^2 N blown matrix: the
+    blown spectrum is the union of spec S_f + delta_f over the nonempty
+    families (k l_v, k l_h and 0 for k > 1, and M), so it is integral iff
+    every such S_f is.  l_v and l_h are integral iff every secular root of
+    every line is an integer (`_secular_roots`); M's exact spectrum decides
+    the rest.
     """
-    for _, seed, tails, _, _ in _family_table(t, k):
-        if not tails or seed is None:
-            continue
-        if isinstance(seed, str):
-            if any(None in _secular_roots(Counter(map(len, parts)))
-                   for parts in _line_parts(t, seed)):
-                return False
-        elif not spectra.exact_spectrum(seed).is_integral:
-            return False
-    return True
+    if k > 1 and any(None in _secular_roots(Counter(map(len, parts)))
+                     for axis in ("column", "row") for parts in _line_parts(t, axis)):
+        return False
+    m = _seed_operator(graph.layers(t), _m_coefficients(k))
+    return spectra.exact_spectrum(m).is_integral
 
 
 def _predicted(families) -> tuple:
@@ -358,9 +363,8 @@ def _predicted(families) -> tuple:
 
 def predicted_spectrum(t: Tiling, k: int) -> tuple:
     """Predicted eigenvalue multiset of the k-fold blow-up, sorted: the
-    eigenvalues of `build_families(t, k)`, the seed eigenvalues mapped
-    through `_family_table`.  Exact entries are ints, approximate ones
-    floats."""
+    eigenvalues of `build_families(t, k)`, each a seed's S-value plus its
+    family's delta.  Exact entries are ints, approximate ones floats."""
     return _predicted(build_families(t, k))
 
 
@@ -394,8 +398,7 @@ def _max_residual(families, d, subs, fro: float) -> float:
         if not len(fam):
             continue
         _check_tails(fam, subs)
-        beta, eta, nu, delta = fam.coefficients
-        e = beta * d.l_b + eta * d.l_h + nu * d.l_v + delta * identity(n)
+        e = _seed_operator(d, fam.coefficients) + fam.coefficients[3] * identity(n)
         e_f = e.astype(float)
         w_norms = [float(np.linalg.norm(np.asarray(w, dtype=float))) for w in fam.tails]
         seeds = [(x, s.value, s.exact) for s in fam.spaces for x in s.vectors]
@@ -494,14 +497,13 @@ def verify(t: Tiling, k: int, blown: np.ndarray | None = None) -> EigenBasisRepo
       tiling to blown_adjacency(t, k) = l_b (x) B + l_h (x) H + l_v (x) V
       + I (x) D;
     - each tail satisfies B w = beta w, H w = eta w, V w = nu w and
-      D w = delta w, with (beta, eta, nu, delta) = (0, 0, k, -1) for XV,
-      (0, k, 0, -1) for XH, (0, 0, 0, -1) for XE and (k^2, k, k, k^2 - 1)
-      for XM.  By the mixed-product rule blown (x (x) w) = (E x) (x) w
-      with E = beta l_b + eta l_h + nu l_v + delta I, so the N x N check
-      E x = mu x makes x (x) w an eigenvector for mu, with residual
-      ||(E - mu) x|| * ||w||.  For an exact seed the check is a proof, not
-      a tolerance: `linalg.eigen_mismatch` decides E X = X diag(mu)
-      exactly;
+      D w = delta w, its family's coefficients in `_family_table` (listed
+      in the module docstring).  By the mixed-product rule
+      blown (x (x) w) = (E x) (x) w with E = beta l_b + eta l_h + nu l_v
+      + delta I, so the N x N check E x = mu x makes x (x) w an
+      eigenvector for mu, with residual ||(E - mu) x|| * ||w||.  For an
+      exact seed the check is a proof, not a tolerance:
+      `linalg.eigen_mismatch` decides E X = X diag(mu) exactly;
     - tails of different families are orthogonal, so (x (x) w) . (x' (x) w')
       = (x . x')(w . w') = 0 across families, and the stack's rank is the
       sum of the families' ranks;
@@ -522,8 +524,7 @@ def verify(t: Tiling, k: int, blown: np.ndarray | None = None) -> EigenBasisRepo
     VerificationFailure is raised, not the oracle's ConvergenceError, so
     failures come in the order listed above.
     """
-    _, xm_seed, _, _, _ = _family_table(t, k)[3]
-    linalg._candidate_limits(xm_seed)
+    linalg._candidate_limits(_seed_operator(graph.layers(t), _m_coefficients(k)))
     up_a = blown_adjacency(t, k) if blown is None else blown
     with ThreadPoolExecutor(max_workers=1) as pool:
         clauses = pool.submit(_factor_clauses, t, k, up_a)

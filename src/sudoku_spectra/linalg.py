@@ -28,10 +28,8 @@ One elimination, Gauss-Jordan mod a prime in int64 (`_rref_mod`), decides
 every exact rank, kernel and linear solve.  `rational_kernel` is
 multimodular: that elimination mod 27-bit primes, CRT and rational
 reconstruction after each prime, and a lift returned only once
-(a - lam I) X == 0 holds exactly.  The exact check proves the lift is the
-rational free-column basis, primes whose pivot set lags are skipped as
-unlucky, and a Hadamard bound caps the primes: past it the lift cannot
-fail, so reaching it raises CertificateError.  `rank` is the rank mod one
+(a - lam I) X == 0 holds exactly, which proves it (see the section comment
+on kernels).  `rank` is the rank mod one
 prime when that is full, and otherwise the side of a zero-padded square
 minus the length of its `rational_kernel`.  `integral_spectrum` solves its
 trace system mod one prime with the same elimination.
@@ -126,7 +124,12 @@ def kron(a, b) -> np.ndarray:
 
 def gershgorin_bound(a) -> int:
     """max_i sum_j |a_ij|; every real eigenvalue lies in [-bound, bound].
-    0 for an empty matrix."""
+    0 for an empty matrix.  An int64 array is summed in int64 while
+    n max|a_ij| < 2**63 keeps every row sum exact, anything else on Python
+    ints (converting an object array costs more than its int64 sums save)."""
+    if isinstance(a, np.ndarray) and a.dtype == np.int64 \
+            and max(-int(a.min(initial=0)), int(a.max(initial=0))) * a.shape[1] < 1 << 63:
+        return int(np.abs(a).sum(axis=1).max(initial=0))
     return int(np.abs(np.asarray(a, dtype=object)).sum(axis=1).max(initial=0))
 
 
@@ -166,12 +169,15 @@ def _require_symmetric(a) -> np.ndarray:
 # result is exact; reduction mod p commutes with the characteristic
 # polynomial, hence there are no unlucky primes.  All per-prime work runs
 # vectorized in int64: the recurrence keeps p_0 .. p_n as the rows of one
-# (n+1) x (n+1) table and forms each p_i with one dot product of at most n
-# terms, each at most (p-1)^2 for residues in [0, p).  With p < 2**27 the
-# sum stays at most n (p-1)^2 < 2**63 for n <= 512, which is the size limit
-# of `char_poly`.
+# (n+1) x (n+1) table and forms each p_i with one dot product.
 
 _PRIME_LIMIT = (1 << 27) - 1
+# The size limit of `char_poly` and of the candidate scan of
+# `integer_eigenspaces`, 512: each dot product of `_charpoly_mod` (the
+# Hessenberg column update and each recurrence step) sums at most n terms
+# of at most (p-1)^2, so it is exact in int64 while n (p-1)^2 < 2**63, and
+# every table prime is at most _PRIME_LIMIT.
+_CHARPOLY_MAX_N = ((1 << 63) - 1) // (_PRIME_LIMIT - 1) ** 2
 # descending primes below _PRIME_LIMIT; only ever extended, under the lock
 _primes_cache: list[int] = []
 _primes_lock = threading.Lock()
@@ -217,12 +223,27 @@ def _primes(count: int) -> list[int]:
 
 
 def _for_residues(a: np.ndarray) -> np.ndarray:
-    """a in int64 when its entries fit, so each prime reduces it with one
-    vectorized %; otherwise a itself, reduced on the object array."""
+    """a in int64 when its entries fit (an int64 a itself, not a copy), so
+    each prime reduces it with one vectorized %; otherwise a itself, reduced
+    on the object array.  Callers only read the result."""
     try:
-        return a.astype(np.int64)
+        return a.astype(np.int64, copy=False)
     except OverflowError:
         return a
+
+
+def _exact_power_sums(a: np.ndarray) -> tuple[int, int]:
+    """tr(a) and ||a||_F^2 of a square integer matrix (int64 or object) as
+    exact integers: summed in int64 (`_for_residues`, so an int64 a is not
+    copied) while n^2 max|a_ij|^2 < 2**63 keeps every partial sum exact,
+    and on Python ints past it."""
+    n = a.shape[0]
+    a = _for_residues(a)
+    if a.dtype == np.int64 \
+            and (n * max(-int(a.min(initial=0)), int(a.max(initial=0)))) ** 2 < 1 << 63:
+        return int(np.trace(a)), int(np.vdot(a, a))
+    ints = [int(x) for x in a.flat]
+    return sum(ints[:: n + 1]), sum(x * x for x in ints)
 
 
 def _coeff_bound(a) -> int:
@@ -238,7 +259,7 @@ def _coeff_bound(a) -> int:
     bounds the mean.
     """
     n = a.shape[0]
-    fro2 = sum(int(x) * int(x) for x in a.flat)
+    fro2 = _exact_power_sums(a)[1]
     if fro2 == 0:
         return 1
     mean2 = -(-fro2 // n)  # r^2 * n >= fro2 iff r^2 >= ceil(fro2 / n)
@@ -257,11 +278,10 @@ def _charpoly_mod(a_mod: np.ndarray, p: int) -> np.ndarray:
 
     (1-based; the j = i term is h_{i,i} p_{i-1}).  Row t of an int64 table
     holds p_t, so step i forms its coefficients c_j in Python ints and
-    subtracts one dot product c @ table[rows p_{j-1}].  Its at most n <= 512
-    terms are each at most (p-1)^2, so the sum is below 2**63 before it is
-    reduced.  The products of subdiagonal entries run from j = i-1 down and
-    stop at the first one that is 0 mod p, since every term below it
-    vanishes too.
+    subtracts one dot product c @ table[rows p_{j-1}], exact in int64 for
+    n <= _CHARPOLY_MAX_N (see there).  The products of subdiagonal entries
+    run from j = i-1 down and stop at the first one that is 0 mod p, since
+    every term below it vanishes too.
     """
     h = a_mod
     n = h.shape[0]
@@ -306,11 +326,10 @@ def char_poly(a) -> tuple[int, ...]:
     """Monic characteristic polynomial det(xI - a), exact, ascending coeffs."""
     a = _require_square(a)
     n = a.shape[0]
-    if n > 512:
-        # the recurrence's int64 dot products stay exact for n (p-1)^2 < 2**63
-        raise DimensionMismatch(f"char_poly supports n <= 512, got {n}")
-    target = 2 * _coeff_bound(a) + 1
+    if n > _CHARPOLY_MAX_N:
+        raise DimensionMismatch(f"char_poly supports n <= {_CHARPOLY_MAX_N}, got {n}")
     a_int = _for_residues(a)
+    target = 2 * _coeff_bound(a_int) + 1
     coeffs = [0] * (n + 1)
     modulus = 1
     i = 0
@@ -624,12 +643,9 @@ def integral_spectrum(a) -> list[tuple[int, int]] | None:
 # free column in the Q-span of the pivot columns before it, so the mod-p
 # pivot set is the greedy rational one, and the lift is the unique kernel
 # basis with that pattern on the free columns.  A prime whose (rank, pivot
-# list) lags the best seen cannot give that basis and is skipped.
-#
-# The cap: every minor is at most H = prod_i max(1, ||row_i||) (Hadamard),
-# the skipped primes all divide one nonzero minor (product at most H), and
-# by Cramer's rule the entries' numerators and denominators are at most H,
-# so reconstruction is exact once the other primes multiply past 2 H^2.
+# list) lags the best seen (lower rank, or a lexicographically later list at
+# equal rank) cannot give that basis and is skipped; a better one restarts
+# the lift.  A Hadamard bound caps the primes (`_kernel_prime_budget`).
 
 
 def _rref_mod(h: np.ndarray, p: int) -> list[int]:
@@ -761,15 +777,6 @@ def _exact_in_float64(row_sum: int, mu_max: int, x_max: int) -> bool:
     return (row_sum + mu_max) * x_max < _FLOAT64_EXACT
 
 
-def _max_row_sum(a: np.ndarray) -> int:
-    """`gershgorin_bound` of an integer matrix as `_for_residues` returns
-    it: summed in int64 while n * max|a_ij| < 2**63 keeps every row sum
-    exact, on Python ints otherwise."""
-    if a.dtype == np.int64 and a.size and max(-int(a.min()), int(a.max())) * a.shape[1] < 1 << 63:
-        return int(np.abs(a).sum(axis=1).max())
-    return gershgorin_bound(a)
-
-
 def eigen_mismatch(mat, vectors, values) -> np.ndarray:
     """Boolean mask over `vectors`, a nonempty list of integer vectors:
     True where mat @ x != mu * x, mu the integer in `values` at the same
@@ -780,7 +787,7 @@ def eigen_mismatch(mat, vectors, values) -> np.ndarray:
     x = np.array(vectors, dtype=object)
     mu = np.array(values, dtype=object)
     a = _for_residues(mat)
-    if _exact_in_float64(_max_row_sum(a), int(np.abs(mu).max()), int(np.abs(x).max())):
+    if _exact_in_float64(gershgorin_bound(a), int(np.abs(mu).max()), int(np.abs(x).max())):
         # past the bound whenever a did not fit in int64, so a is int64 here
         xf = x.T.astype(float)
         return np.any(a.astype(float) @ xf != xf * mu.astype(float), axis=0)
@@ -799,15 +806,9 @@ def rational_kernel(a, lam: int) -> list[np.ndarray]:
     Gauss-Jordan elimination of a - lam*I modulo 27-bit primes gives those
     vectors mod p; CRT and rational reconstruction lift them after each
     prime, and a lift is returned only when (a - lam*I) X == 0 holds
-    exactly.  A verified lift is the rational basis: independence mod p
-    implies independence over the rationals, so its vectors span the
-    kernel, and each puts its free column in the span of the pivot columns
-    before it, so the mod-p pivot set is the rational one.  A prime whose
-    (rank, pivot list) is worse than the best seen (lower rank, or a
-    lexicographically later list at equal rank) is unlucky and skipped; a
-    better one restarts the lift.  Past `_kernel_prime_budget` primes (a
-    Hadamard bound) the lift cannot fail, so reaching it raises
-    CertificateError.
+    exactly, which proves it is the rational basis (see the section
+    comment).  Past `_kernel_prime_budget` primes (a Hadamard bound) the
+    lift cannot fail, so reaching it raises CertificateError.
     """
     return _rational_kernel(_require_ints(_require_square(a)), operator.index(lam))
 
@@ -887,14 +888,13 @@ def rank(a) -> int:
 # the rare false candidates, p | chi(lam) != 0.  `rational_kernel` decides
 # each candidate exactly: a false one has an empty kernel, and a symmetric
 # a is diagonalizable, so the kernel's dimension is the multiplicity.  No
-# coefficient bound, CRT or root extraction is needed.  Past n = 512, where
-# chi mod p is no longer exact in int64, only a spectrum that annihilation
-# proves integral (`integral_spectrum`, any n) supplies the candidates.
-# `_candidate_limits` checks both limits without the scan, so a caller can
-# refuse an input before it starts other work.
+# coefficient bound, CRT or root extraction is needed.  Past
+# _CHARPOLY_MAX_N (512), where chi mod p is no longer exact in int64, only a
+# spectrum that annihilation proves integral (`integral_spectrum`, any n)
+# supplies the candidates.  `_candidate_limits` checks both limits without
+# the scan, so a caller can refuse an input before it starts other work.
 
-# chi mod p comes from the first table prime; `_charpoly_mod`'s int64 sums
-# are exact for n <= 512 there
+# chi mod p comes from the first table prime
 _SCAN_PRIME = _primes(1)[0]
 # the scan evaluates chi mod p at 2 rho + 1 integers, at most this many
 _EIGEN_SCAN_LIMIT = 1 << 22
@@ -908,12 +908,12 @@ def _candidate_limits(a: np.ndarray) -> int | list[int]:
     rho once the scan of 2 rho + 1 integers is within _EIGEN_SCAN_LIMIT
     (CandidateLimitError otherwise)."""
     n = a.shape[0]
-    if n > 512:
+    if n > _CHARPOLY_MAX_N:
         certified = integral_spectrum(a)
         if certified is None:
             raise DimensionMismatch(
-                f"integer_eigenspaces supports n <= 512 unless the spectrum is proven integral, "
-                f"got {n}"
+                f"integer_eigenspaces supports n <= {_CHARPOLY_MAX_N} unless the spectrum is "
+                f"proven integral, got {n}"
             )
         return [lam for lam, _ in certified]
     rho = gershgorin_bound(a)
@@ -929,13 +929,10 @@ def integer_eigenspaces(a) -> list[tuple[int, list[np.ndarray]]]:
     """(lam, basis of ker(a - lam I)) for every integer eigenvalue lam of a
     symmetric integer matrix, ascending; bases as from `rational_kernel`.
 
-    After `_candidate_limits` (n <= 512 unless the spectrum is proven
-    integral, a scan of at most _EIGEN_SCAN_LIMIT integers), the scan of
-    chi mod one prime, or past 512 the certified spectrum, proposes the
-    eigenvalues; `rational_kernel` decides each candidate: a false one gets
-    an empty kernel, and the dimension of a nonempty one is the
-    multiplicity (see the section comment).  a is checked once, here, and
-    not again for each kernel.
+    After `_candidate_limits`, the scan of chi mod one prime, or past 512
+    the certified spectrum, proposes the eigenvalues and `rational_kernel`
+    decides each candidate (see the section comment).  a is checked once,
+    here, and not again for each kernel.
     """
     a = _require_ints(_require_symmetric(a))
     limits = _candidate_limits(a)
@@ -997,18 +994,6 @@ def _float_eigen_pairs(a: np.ndarray, exact=()) -> tuple[np.ndarray, np.ndarray]
     return w, v
 
 
-def _exact_power_sums(a: np.ndarray, af: np.ndarray) -> tuple[int, int]:
-    """tr(a) and ||a||_F^2 as exact integers: summed from af, a in float64,
-    when n^2 max|a_ij|^2 < 2**53 keeps every partial sum an exact integer,
-    and from the Python ints of a past it."""
-    n = a.shape[0]
-    top = max(af.max(initial=0), -af.min(initial=0))
-    if n * n * top * top < _FLOAT64_EXACT:
-        return int(np.trace(af)), int(np.vdot(af, af))
-    ints = [int(x) for x in a.flat]
-    return sum(ints[:: n + 1]), sum(x * x for x in ints)
-
-
 def float_eigen(a) -> list[float]:
     """All eigenvalues of a symmetric integer matrix, ascending.
 
@@ -1035,7 +1020,7 @@ def float_eigen(a) -> list[float]:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"LAPACK failed: {exc}") from exc
     n = a.shape[0]
-    trace, fro2 = _exact_power_sums(a, af)
+    trace, fro2 = _exact_power_sums(a)
     fro = sqrt(fro2)
     d = EIGENVALUE_TOL * fro
     sums = (

@@ -17,7 +17,14 @@ routes in order, and all of them are exact:
    Only this route is limited to n <= 512.
 
 Routes 2 and 3 are `exact_spectrum`, which takes any symmetric integer
-matrix.
+matrix.  On tilings, route 2 has never proven what the lattice had not:
+the lattice accepts every integral tiling at m = 3 (24 of the 1680
+labelled tilings) and at m = 4 (53 of the 2,627,625 partitions of the
+4 x 4 grid into four blocks of four), so every tiling it rejects there is
+decided by route 3.  The annihilation certificate still proves the
+spectrum of the blow-up seed M in `eigenbasis.blowup_is_integral` (which
+`search --blowup-k` calls) and, past 512 vertices, the candidates of
+`linalg._candidate_limits` (M's in `blowup --verify`).
 """
 
 from __future__ import annotations
@@ -87,6 +94,11 @@ def exact_spectrum(a) -> Spectrum:
     eigenvalues by trial division over the divisors of its constant term
     within the Gershgorin row-sum bound; everything left is returned as the
     residual polynomial.
+
+    The annihilation route decides the blow-up seed M of
+    `eigenbasis.blowup_is_integral`; on the adjacency of a tiling the
+    partition lattice has so far caught every integral case first (see the
+    module docstring).
     """
     roots = linalg.integral_spectrum(a)  # raises ValueError unless symmetric
     if roots is not None:

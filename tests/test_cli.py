@@ -345,7 +345,10 @@ def test_spectrum_past_char_poly_limit_exits_3(tmp_path, capsys):
 
 
 def test_spectrum_rook_graph_past_char_poly_limit(tmp_path, capsys):
-    # row_tiling(23) is the rook graph K23 x K23: integral, 529 vertices
+    # row_tiling(23) is the rook graph K23 x K23: integral, 529 vertices,
+    # past char_poly's 512 limit.  The partition lattice answers it, so no
+    # matrix is built; the annihilation route past 512 is tested through
+    # `exact_spectrum` and `blowup_is_integral` on classical n=5
     from sudoku_spectra.tiling import row_tiling
 
     path = tmp_path / "r23.tiling"
@@ -361,7 +364,10 @@ def test_spectrum_classical5_past_char_poly_limit(tmp_path, capsys):
 
     from sudoku_spectra.graph import adjacency
 
-    t = classical_tiling(5)  # 625 vertices
+    # 625 vertices, past char_poly's 512 limit: the partition lattice
+    # answers it; the annihilation route on the same matrix is
+    # test_lattice.py's test_annihilation_past_char_poly_limit_equals_the_lattice
+    t = classical_tiling(5)
     path = tmp_path / "c5.tiling"
     path.write_text(render_tiling(t))
     assert main(["spectrum", str(path), "--exact", "--json"]) == 0

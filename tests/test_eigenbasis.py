@@ -417,6 +417,23 @@ def test_blowup_is_integral_classical2(k):
     assert exact_spectrum(blown_adjacency(t, k)).is_integral
 
 
+def test_blowup_is_integral_past_char_poly_limit(monkeypatch):
+    # classical n=5 at k=2: M is 625 x 625, past char_poly's 512 limit, so
+    # only the annihilation certificate can prove it integral; it runs once,
+    # on M, and the layers are decided by their secular roots
+    real = la.integral_spectrum
+    seen = []
+
+    def recorded(a):
+        out = real(a)
+        seen.append((a.shape, out is not None))
+        return out
+
+    monkeypatch.setattr(la, "integral_spectrum", recorded)
+    assert blowup_is_integral(classical_tiling(5), 2)
+    assert seen == [((625, 625), True)]
+
+
 def test_build_families_k1_skips_empty_families(freeform4, monkeypatch):
     # at k = 1 only XM has k^2-vectors, so only M's eigenspaces are computed
     real = la.integer_eigenspaces
@@ -564,37 +581,37 @@ def test_first_failure_in_family_order(kind, index, tol, message, monkeypatch):
     assert str(info.value).startswith(f"eigenvector-residual: {message}")
 
 
-def _patched_table(monkeypatch, kind, **changes):
-    """Patch `_family_table` so family `kind` gets a wrong coefficient
-    tuple or eigenvalue map."""
+def test_wrong_tail_coefficient_fails(monkeypatch):
+    # XV's tails 1_k (x) y have V w = k w, not (k + 1) w; the tails are
+    # checked before the seeds, which now come from 3 l_v
     real = eigenbasis_mod._family_table
 
-    def table(t, k):
-        rows = []
-        for row in real(t, k):
-            if row[0] == kind:
-                name, seed, tails, coefficients, to_blown = row
-                row = (name, seed, tails, changes.get("coefficients", coefficients),
-                       changes.get("to_blown", to_blown))
-            rows.append(row)
-        return tuple(rows)
+    def table(k):
+        return tuple((kind, tails, (0, 0, 3, -1) if kind == "XV" else coefficients)
+                     for kind, tails, coefficients in real(k))
 
     monkeypatch.setattr(eigenbasis_mod, "_family_table", table)
-
-
-def test_wrong_tail_coefficient_fails(monkeypatch):
-    # XV's tails 1_k (x) y have V w = k w, not (k + 1) w
-    _patched_table(monkeypatch, "XV", coefficients=(0, 0, 3, -1))
     with pytest.raises(VerificationFailure,
                        match=r"^eigenvector-residual: XV tail 0: V w != 3 w$"):
         verify(classical_tiling(2), 2)
 
 
-def test_wrong_eigenvalue_map_fails(monkeypatch):
-    # lam * k instead of lam * k - 1: l_v's smallest eigenvalue -2 maps to -4
-    _patched_table(monkeypatch, "XV", to_blown=lambda lam: lam * 2)
+def test_shifted_seed_value_fails(monkeypatch):
+    # l_v's smallest closed-form eigenvalue -2 shifted to -1: its vectors
+    # have blown value 2 * -2 - 1 = -5, but the family claims 2 * -1 - 1 = -3
+    real = eigenbasis_mod.layer_eigenspaces
+
+    def shifted(t, axis):
+        spaces = real(t, axis)
+        if axis == "column":
+            low = spaces[0]
+            assert low.value == -2 and low.exact
+            spaces[0] = dataclasses.replace(low, value=low.value + 1)
+        return spaces
+
+    monkeypatch.setattr(eigenbasis_mod, "layer_eigenspaces", shifted)
     with pytest.raises(VerificationFailure,
-                       match=r"^eigenvector-residual: XV vector for eigenvalue -4 is not exact$"):
+                       match=r"^eigenvector-residual: XV vector for eigenvalue -3 is not exact$"):
         verify(classical_tiling(2), 2)
 
 
@@ -759,14 +776,17 @@ def test_build_families_match_vectorwise_kron(t, k):
     # the expanded vectors are kron(x, w) for each seed vector x and tail
     # w, x-major and tail-minor, with the same entry types
     families = build_families(t, k)
-    for kind, seed, tails, _, _ in eigenbasis_mod._family_table(t, k):
+    d = layers(t)
+    seeds = {
+        "XV": layer_eigenspaces(t, "column"),  # the closed-form layer seeds
+        "XH": layer_eigenspaces(t, "row"),
+        "XE": [eigenbasis_mod.EigenSpace(0, tuple(la.unit_vector(t.n_cells, i)
+                                                  for i in range(t.n_cells)), True)],
+        "XM": eigenvector_basis(k * k * d.l_b + k * d.l_h + k * d.l_v),
+    }
+    for kind, tails, _ in eigenbasis_mod._family_table(k):
         fam = next(f for f in families if f.kind == kind)
-        if seed is None:
-            xs = [la.unit_vector(t.n_cells, i) for i in range(t.n_cells)] if tails else []
-        elif isinstance(seed, str):  # XV and XH: the closed-form layer seeds
-            xs = [x for space in layer_eigenspaces(t, seed) for x in space.vectors]
-        else:
-            xs = [x for space in eigenvector_basis(seed) for x in space.vectors]
+        xs = [x for space in seeds[kind] for x in space.vectors] if tails else []
         expected = [la.kron(x, w) for x in xs for w in tails]
         got_vectors = blown_vectors(fam)
         assert len(got_vectors) == len(expected)
@@ -935,21 +955,23 @@ def test_m_is_validated_once(monkeypatch):
     # neither its kernels nor the candidate scan check it again; the other
     # counts are the blown matrix's oracle check, the ranks of the seed and
     # tail stacks, and the Gershgorin bounds of M's limit gate (on both
-    # threads); the exact eigenvector checks of the kernel lifts and of the
-    # factor-level residual clause sum rows in int64 instead
-    calls = []
-    for name in ("_require_ints", "_require_symmetric", "gershgorin_bound", "_max_row_sum"):
+    # threads, on the object M) and of the exact eigenvector checks of the
+    # kernel lifts and of the factor-level residual clause (on int64 copies)
+    calls, bound_dtypes = [], []
+    for name in ("_require_ints", "_require_symmetric", "gershgorin_bound"):
         real = getattr(la, name)
 
         def counted(*args, _real=real, _name=name):
             calls.append(_name)
+            if _name == "gershgorin_bound":
+                bound_dtypes.append(args[0].dtype)
             return _real(*args)
 
         monkeypatch.setattr(la, name, counted)
     verify(classical_tiling(3), 3)
     counts = {name: calls.count(name) for name in set(calls)}
-    assert counts == {"_require_ints": 9, "_require_symmetric": 2, "gershgorin_bound": 2,
-                      "_max_row_sum": 10}
+    assert counts == {"_require_ints": 9, "_require_symmetric": 2, "gershgorin_bound": 12}
+    assert bound_dtypes.count(np.int64) == 10
 
 
 def test_blown_matrix_never_reaches_eigh(monkeypatch):

@@ -209,6 +209,13 @@ def test_tiling_spectrum_equals_exact_spectrum(t):
     assert s is None or s == expected
 
 
+def test_annihilation_past_char_poly_limit_equals_the_lattice():
+    # classical n=5 has 625 vertices, past char_poly's 512 limit, so the
+    # matrix route answers it only through the annihilation certificate
+    t = classical_tiling(5)
+    assert exact_spectrum(adjacency(t)) == tiling_spectrum(t)
+
+
 BLOWUP_BASES = [classical_tiling(1), classical_tiling(2), row_tiling(2), row_tiling(3),
                 row_tiling(4), random_tiling(3, 27), random_tiling(3, 0), random_tiling(4, 5),
                 FAILS_ONLY[("C", "RB")]]

@@ -89,6 +89,32 @@ def test_eigenbasis_reads_only_allowed_private_linalg_names():
     assert read == allowed
 
 
+def test_one_home_for_the_char_poly_ceiling():
+    # the n <= 512 limit of char_poly and of the candidate scan is derived
+    # once, in linalg, from the int64 rule n (p-1)^2 < 2**63 for the table
+    # primes; no other code constant, number or message text, is 512
+    # (docstrings and comments are not code)
+    from sudoku_spectra import linalg
+
+    assert linalg._CHARPOLY_MAX_N == 512
+    found = []
+    for path, tree in parsed_sources():
+        docstrings = {
+            id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Constant) or id(node) in docstrings:
+                continue
+            value = node.value
+            if isinstance(value, str) and "512" in value \
+                    or isinstance(value, (int, float)) and not isinstance(value, bool) and value == 512:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_eigh_only_in_the_pair_routine():
     # the float oracle is values-only (eigvalsh); eigenvectors come from one
     # routine, whose vectors the eigenbasis uses, so the oracle cannot drift
