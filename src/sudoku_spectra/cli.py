@@ -164,9 +164,9 @@ def cmd_blowup(args) -> int:
     if args.out:
         Path(args.out).write_text(render_tiling(big), encoding="utf-8")
         lines.append(f"wrote blown tiling to {args.out}")
-    # built once: the matrix file and the eigenbasis check, reconciliation
-    # included, read the same Kronecker-route adjacency
-    a = blowup.blown_adjacency(t, k) if args.matrix_out or args.verify else None
+    # built here only for the file the user asked for, then passed on;
+    # otherwise `verify` builds it itself, after its limit check
+    a = blowup.blown_adjacency(t, k) if args.matrix_out else None
     if args.matrix_out:
         if args.matrix_format == "json":
             Path(args.matrix_out).write_text(
@@ -365,14 +365,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_guarded(func, args) -> int:
     """func(args)'s exit code; an input error (a bad tiling, or a file that
-    cannot be read or is not UTF-8) exits 2 and a computational error exits
-    3, each with a one-line message instead of a traceback."""
+    cannot be read or is not UTF-8) exits 2 and a computational error,
+    memory that cannot be allocated included, exits 3, each with a one-line
+    message instead of a traceback."""
     try:
         return func(args)
     except (TilingError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ConvergenceError, linalg.DimensionMismatch, ArithmeticError) as exc:
+    except (ConvergenceError, linalg.DimensionMismatch, ArithmeticError, MemoryError) as exc:
         print(f"compute error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

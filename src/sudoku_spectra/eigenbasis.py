@@ -514,15 +514,16 @@ def verify(t: Tiling, k: int, blown: np.ndarray | None = None) -> EigenBasisRepo
     Threads: the calling thread first runs the limit gate
     (`linalg._candidate_limits` on M: its size and scan cap, and past 512
     its annihilation certificate), so an input past a limit is refused
-    before any blown matrix, kernel or oracle.  It then builds the blown
-    matrix and runs the float oracle, `linalg.float_eigen`: a values-only
-    `eigvalsh` on the k^2 N blown matrix, held to its power-sum check, that
-    spends most of its time in LAPACK with the GIL released, while one
-    worker thread runs `reconcile`, the families (XV and XH in closed form,
-    M scanned and kernelled) and the two factor-level clauses; both are
-    joined before the spectrum clauses.  When both fail, the worker's
-    VerificationFailure is raised, not the oracle's ConvergenceError, so
-    failures come in the order listed above.
+    before any kernel, oracle or blown matrix; only `blowup --matrix-out`
+    builds its file first, as the user asked.  It then builds the blown
+    matrix unless given and runs the float oracle, `linalg.float_eigen`: a
+    values-only `eigvalsh` on the k^2 N blown matrix, held to its power-sum
+    check, that spends most of its time in LAPACK with the GIL released,
+    while one worker thread runs `reconcile`, the families (XV and XH in
+    closed form, M scanned and kernelled) and the two factor-level clauses;
+    both are joined before the spectrum clauses.  When both fail, the
+    worker's VerificationFailure is raised, not the oracle's
+    ConvergenceError, so failures come in the order listed above.
     """
     linalg._candidate_limits(_seed_operator(graph.layers(t), _m_coefficients(k)))
     up_a = blown_adjacency(t, k) if blown is None else blown

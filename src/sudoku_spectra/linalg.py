@@ -163,13 +163,14 @@ def _require_symmetric(a) -> np.ndarray:
 #
 # det(xI - A) is computed per prime p < 2**27 on A mod p (Hessenberg
 # reduction, then the standard recurrence for Hessenberg characteristic
-# polynomials) and the integer coefficients are recovered by CRT.  The
-# prime count is driven by a provable coefficient bound from the Frobenius
-# norm (Schur's inequality, then Maclaurin's; see `_coeff_bound`), so the
-# result is exact; reduction mod p commutes with the characteristic
-# polynomial, hence there are no unlucky primes.  All per-prime work runs
-# vectorized in int64: the recurrence keeps p_0 .. p_n as the rows of one
-# (n+1) x (n+1) table and forms each p_i with one dot product.
+# polynomials) and the integer coefficients are recovered by CRT (`_crt`,
+# the step the kernel lift takes too).  The prime count is driven by a
+# provable coefficient bound from the Frobenius norm (Schur's inequality,
+# then Maclaurin's; see `_coeff_bound`), so the result is exact; reduction
+# mod p commutes with the characteristic polynomial, hence there are no
+# unlucky primes.  All per-prime work runs vectorized in int64: the
+# recurrence keeps p_0 .. p_n as the rows of one (n+1) x (n+1) table and
+# forms each p_i with one dot product.
 
 _PRIME_LIMIT = (1 << 27) - 1
 # The size limit of `char_poly` and of the candidate scan of
@@ -206,19 +207,21 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _descending_primes(start: int, floor: int) -> filter[int]:
+    """The primes p with floor < p <= start, largest first; the table and
+    the annihilation certificate each walk their own range."""
+    return filter(_is_prime, range(start, floor, -1))
+
+
 def _primes(count: int) -> list[int]:
     """The `count` largest primes below 2**27, descending.  Safe from any
     thread: an extension is built locally and published in one `extend`
     under the lock, so no prime is ever appended twice."""
     if len(_primes_cache) < count:
         with _primes_lock:
-            found: list[int] = []
-            p = _primes_cache[-1] - 2 if _primes_cache else _PRIME_LIMIT
-            while len(_primes_cache) + len(found) < count:
-                if _is_prime(p):
-                    found.append(p)
-                p -= 2
-            _primes_cache.extend(found)
+            start = _primes_cache[-1] - 1 if _primes_cache else _PRIME_LIMIT
+            walk = _descending_primes(start, 1)
+            _primes_cache.extend([next(walk) for _ in range(count - len(_primes_cache))])
     return _primes_cache[:count]
 
 
@@ -322,6 +325,14 @@ def _charpoly_mod(a_mod: np.ndarray, p: int) -> np.ndarray:
     return table[n]
 
 
+def _crt(acc: np.ndarray, modulus: int, residues: np.ndarray, p: int) -> np.ndarray:
+    """The x with x == acc mod modulus and x == residues mod p, entrywise in
+    [0, modulus p), for object arrays of Python ints, acc in [0, modulus)
+    and a prime p not dividing modulus."""
+    inv = pow(modulus % p, -1, p)
+    return acc + modulus * ((residues - acc % p) * inv % p)
+
+
 def char_poly(a) -> tuple[int, ...]:
     """Monic characteristic polynomial det(xI - a), exact, ascending coeffs."""
     a = _require_square(a)
@@ -330,23 +341,17 @@ def char_poly(a) -> tuple[int, ...]:
         raise DimensionMismatch(f"char_poly supports n <= {_CHARPOLY_MAX_N}, got {n}")
     a_int = _for_residues(a)
     target = 2 * _coeff_bound(a_int) + 1
-    coeffs = [0] * (n + 1)
+    coeffs = np.zeros(n + 1, dtype=object)
     modulus = 1
     i = 0
     while modulus < target:
         p = _primes(i + 1)[i]
         i += 1
         residues = _charpoly_mod((a_int % p).astype(np.int64, copy=False), p)
-        if modulus == 1:
-            coeffs = [int(r) for r in residues]
-        else:
-            inv = pow(modulus % p, -1, p)
-            for idx in range(n + 1):
-                t = (int(residues[idx]) - coeffs[idx]) * inv % p
-                coeffs[idx] += modulus * t
+        coeffs = _crt(coeffs, modulus, residues.astype(object), p)
         modulus *= p
     half = modulus // 2
-    return tuple(c - modulus if c > half else c for c in coeffs)
+    return tuple(c - modulus if c > half else c for c in coeffs.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -503,22 +508,18 @@ def _certificate_primes(n: int, rho: int, values) -> list[int] | None:
     """Primes p with n (p-1)^2 < 2**53 and p > max(n, 2 rho), largest first,
     whose product exceeds 2 prod_{lam in values} (rho + |lam|); at least one.
     None when the primes in that range run out first."""
-    p = isqrt((_FLOAT64_EXACT - 1) // n) + 1  # largest p with n (p-1)^2 < 2**53
-    floor = max(n, 2 * rho)
+    start = isqrt((_FLOAT64_EXACT - 1) // n) + 1  # largest p with n (p-1)^2 < 2**53
     bound = 2
     for lam in values:
         bound *= rho + abs(lam)
     primes: list[int] = []
     modulus = 1
-    while not primes or modulus <= bound:
-        while p > floor and not _is_prime(p):
-            p -= 1
-        if p <= floor:
-            return None
+    for p in _descending_primes(start, max(n, 2 * rho)):
         primes.append(p)
         modulus *= p
-        p -= 1
-    return primes
+        if modulus > bound:
+            return primes
+    return None
 
 
 def _annihilates_mod(a_f: np.ndarray, values, p: int) -> bool:
@@ -633,10 +634,11 @@ def integral_spectrum(a) -> list[tuple[int, int]] | None:
 #
 # `rational_kernel` runs Gauss-Jordan mod p and reads the free-column basis
 # (1 at its free column, 0 at the others) off the reduced form.  After each
-# prime the basis mod the product of the primes is lifted by CRT and
-# rational reconstruction (Wang's algorithm; multimodular with early
-# termination, cf. Monagan, ISSAC 2004) and returned once (a - lam I) X == 0
-# holds exactly (`eigen_mismatch` with every value 0).
+# prime the basis mod the product of the primes is lifted by CRT (`_crt`,
+# the step `char_poly` takes too) and rational reconstruction (Wang's
+# algorithm; multimodular with early termination, cf. Monagan, ISSAC 2004)
+# and returned once (a - lam I) X == 0 holds exactly (`eigen_mismatch` with
+# every value 0).
 #
 # A verified lift is the rational answer.  Vectors independent mod p are
 # independent over Q, so the lift spans the kernel; each vector puts its
@@ -840,8 +842,7 @@ def _rational_kernel(a: np.ndarray, lam: int) -> list[np.ndarray]:
         if best is None or key < best:
             best, acc, modulus = key, residues, p
         else:
-            inv = pow(modulus % p, -1, p)
-            acc = acc + modulus * ((residues - acc % p) * inv % p)
+            acc = _crt(acc, modulus, residues, p)
             modulus *= p
         basis = _lift_basis(acc, modulus, pivots, free, n)
         if basis is not None and not eigen_mismatch(mat, basis, [0] * len(basis)).any():

@@ -223,17 +223,28 @@ def test_blowup_verify_failure_exits_4(classical2_file, monkeypatch, capsys):
     assert "verification failed" in capsys.readouterr().err
 
 
-def test_blowup_verify_constructions_differ_exits_4(classical2_file, monkeypatch, capsys):
+def _patch_blown_adjacency(monkeypatch, replacement):
+    """Replace blown_adjacency in its home module and in every module that
+    bound it by name; returns the real function."""
+    import sys
+
     import sudoku_spectra.blowup as blowup_mod
 
     real = blowup_mod.blown_adjacency
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("sudoku_spectra") and \
+                getattr(mod, "blown_adjacency", None) is real:
+            monkeypatch.setattr(mod, "blown_adjacency", replacement)
+    return real
 
+
+def test_blowup_verify_constructions_differ_exits_4(classical2_file, monkeypatch, capsys):
     def one_edge_off(t, k):
         a = real(t, k)
         a[0, 1] = a[1, 0] = 1 - a[0, 1]
         return a
 
-    monkeypatch.setattr(blowup_mod, "blown_adjacency", one_edge_off)
+    real = _patch_blown_adjacency(monkeypatch, one_edge_off)
     assert main(["blowup", classical2_file, "--k", "2", "--verify"]) == 4
     assert capsys.readouterr().err == \
         "verification failed: direct and Kronecker constructions differ\n"
@@ -260,6 +271,37 @@ def test_blowup_verify_builds_blown_adjacency_once(classical2_file, tmp_path, mo
     monkeypatch.chdir(tmp_path)
     assert main(["blowup", classical2_file, "--k", "2", "--verify", *extra]) == 0
     assert calls == [2]
+
+
+def test_blowup_verify_checks_limits_before_blown_adjacency(tmp_path, monkeypatch, capsys):
+    # M of random_tiling(23, 0) has 529 vertices and no annihilation
+    # certificate, so verify refuses it before any k^2 N matrix exists
+    from sudoku_spectra.tiling import random_tiling
+
+    def forbidden(t, k):
+        raise AssertionError("built the blown adjacency before the limit check")
+
+    _patch_blown_adjacency(monkeypatch, forbidden)
+    path = tmp_path / "random23.tiling"
+    path.write_text(render_tiling(random_tiling(23, 0)))
+    assert main(["blowup", str(path), "--k", "2", "--verify"]) == 3
+    assert capsys.readouterr().err == (
+        "compute error: integer_eigenspaces supports n <= 512 unless the spectrum "
+        "is proven integral, got 529\n"
+    )
+
+
+@pytest.mark.parametrize("extra", [["--verify"], ["--matrix-out", "m.txt"]],
+                         ids=["verify", "matrix-out"])
+def test_blowup_memory_error_exits_3(classical2_file, tmp_path, monkeypatch, extra, capsys):
+    # stands in for numpy's _ArrayMemoryError on a blow-up too large to hold
+    def too_large(t, k):
+        raise MemoryError("Unable to allocate 125. GiB for an array")
+
+    _patch_blown_adjacency(monkeypatch, too_large)
+    monkeypatch.chdir(tmp_path)
+    assert main(["blowup", classical2_file, "--k", "2", *extra]) == 3
+    assert capsys.readouterr().err == "compute error: Unable to allocate 125. GiB for an array\n"
 
 
 @pytest.mark.parametrize("seed, integral", [(0, False), (27, True)])
