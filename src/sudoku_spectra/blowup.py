@@ -11,6 +11,11 @@ Vertices of the Kronecker route are ordered subsquare by subsquare (cell 1's
 k*k replacement cells first, row-major inside the subsquare), which is the
 order the eigenvector construction lives in; `subsquare_permutation`
 translates to the big grid's row-major order.
+
+`block_spectrum` is the float oracle of `eigenbasis.verify`: it reads the
+spectrum of any symmetric integer k^2 N x k^2 N matrix off N x N blocks,
+once it has proven exactly that the fixed basis I_N (x) T_k (x) T_k
+block-diagonalises that matrix.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import graph
+from . import graph, linalg
 from .linalg import identity, kron, ones_matrix
 from .tiling import Tiling, blow_up_tiling
 
@@ -29,6 +34,7 @@ __all__ = [
     "blown_adjacency",
     "subsquare_permutation",
     "reconcile",
+    "block_spectrum",
 ]
 
 
@@ -130,3 +136,54 @@ def reconcile(t: Tiling, k: int, blown: np.ndarray) -> bool:
         if not np.array_equal(blown[lo:hi], direct):
             return False
     return True
+
+
+def block_spectrum(a, k: int) -> list[float] | None:
+    """All eigenvalues of a symmetric integer k^2 N x k^2 N matrix a,
+    ascending, from N x N blocks; None when a is not block-diagonalised by
+    I_N (x) T, T = T_k (x) T_k.
+
+    The columns of T_k are 1_k and e_0 - e_i for i = 1 .. k-1, so
+    det T_k = +-k, T is invertible and row 0 of T is all ones.
+    R = a (I_N (x) T) is formed in int64, as R[j, c, s, c'] for row
+    c k^2 + s and column c' k^2 + j; a column of T has at most k^2 entries
+    +-1, so this is exact while k^2 max|a_ij| < 2**63, and past that
+    OverflowError is raised before R or a float copy is allocated.  Then,
+    one column t_j of T at a time, E_j = R[j, :, 0, :] and R[j] must equal
+    E_j (x) t_j exactly.  If it does for every j, then
+    a (I (x) T) = (I (x) T) P with P the E_j on a permuted block diagonal,
+    so a is similar to the direct sum of the E_j and spec a is the union of
+    their spectra; each E_j is symmetric, since a is.  Only then is a float
+    computed: each distinct E_j goes once through `linalg.float_eigen`,
+    held to its own power-sum check, and its values count once per column
+    that gives it.  Nothing here reads the blow-up's structure theorem: if
+    it failed on some a, so would the check.
+    """
+    a = linalg._require_symmetric(a)
+    if a.dtype != np.int64:
+        a = linalg._for_residues(linalg._require_ints(a))
+    kk = k * k
+    if a.dtype != np.int64 \
+            or kk * max(-int(a.min(initial=0)), int(a.max(initial=0))) >= 1 << 63:
+        raise OverflowError(f"block_spectrum needs k^2 max|a_ij| < 2**63 (k = {k})")
+    n = a.shape[0] // kk
+    if n * kk != a.shape[0]:
+        return None
+    t_k = -np.eye(k, dtype=np.int64)
+    t_k[0] = t_k[:, 0] = 1
+    t = np.kron(t_k, t_k)
+    # column j first, so each column's check reads contiguous memory
+    r = (t.T @ a.reshape(-1, kk).T).reshape(kk, n, kk, n)
+    blocks: list[np.ndarray] = []
+    counts: list[int] = []
+    for j in range(kk):
+        e = r[j, :, 0, :]
+        if not np.array_equal(r[j], e[:, None, :] * t[:, j, None]):
+            return None
+        same = next((i for i, b in enumerate(blocks) if np.array_equal(b, e)), None)
+        if same is None:
+            blocks.append(np.ascontiguousarray(e))
+            counts.append(1)
+        else:
+            counts[same] += 1
+    return sorted(v for b, c in zip(blocks, counts) for v in linalg.float_eigen(b) * c)

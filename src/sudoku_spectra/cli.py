@@ -303,7 +303,12 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged.  It names each subcommand (`command`) and holds no handler,
+    so `main` looks `cmd_<command>` up at call time and a patched or
+    wrapped handler is the one that runs."""
     parser = argparse.ArgumentParser(
         prog="sudoku-spectra",
         description="Spectra of free-form Sudoku graphs: exact eigenvalues, "
@@ -317,13 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--exact", dest="mode", action="store_const", const="exact")
     mode.add_argument("--float", dest="mode", action="store_const", const="float")
     mode.add_argument("--both", dest="mode", action="store_const", const="both")
-    p.set_defaults(mode="both", func=cmd_spectrum)
+    p.set_defaults(mode="both")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
 
     p = sub.add_parser("check", help="integrality conditions and verdict")
     p.add_argument("tiling")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("blowup", help="k-fold blow-up; optionally verify the eigenbasis")
     p.add_argument("tiling")
@@ -334,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="reconcile constructions and verify the eigenvector basis")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_blowup)
 
     p = sub.add_parser("search", help="test random tilings; JSONL records, summary at the end")
     p.add_argument("--m", type=int, required=True)
@@ -344,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write records to this file instead of stdout")
     p.add_argument("--jobs", type=positive_int, default=1,
                    help="worker processes, at most the number of CPUs")
-    p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("gen", help="emit classical/row/random tiling files")
     gen_sub = p.add_subparsers(dest="kind", required=True)
@@ -358,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--m", type=positive_int, required=True)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out")
-    p.set_defaults(func=cmd_gen)
 
     return parser
 
@@ -380,7 +381,7 @@ def run_guarded(func, args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return run_guarded(args.func, args)
+    return run_guarded(globals()[f"cmd_{args.command}"], args)
 
 
 if __name__ == "__main__":

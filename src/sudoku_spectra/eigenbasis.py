@@ -26,8 +26,11 @@ closed form, are flagged approximate and held to a residual contract.
 
 A family is kept in factored form, its seed eigenspaces and its tails w,
 and `verify` proves the basis on those factors, never on the k^2 N blown
-vectors; its docstring states the proof chain, the clause order and which
-thread runs what.
+vectors.  Its float oracle, `blowup.block_spectrum`, never reads the
+families: it proves exactly, on the blown matrix itself, that the fixed
+basis I_N (x) T_k (x) T_k block-diagonalises it, and takes the float
+spectrum from the N x N blocks.  `verify`'s docstring states the proof
+chain, the clause order and which thread runs what.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from itertools import combinations
 import numpy as np
 
 from . import graph, linalg, spectra
-from .blowup import blown_adjacency, reconcile, substitution_set
+from .blowup import block_spectrum, blown_adjacency, reconcile, substitution_set
 from .linalg import all_ones, identity, kron, unit_vector
 from .tiling import Tiling
 
@@ -307,15 +310,15 @@ def _seed_operator(d: graph.LayerDecomposition, coefficients) -> np.ndarray:
     return beta * d.l_b + eta * d.l_h + nu * d.l_v
 
 
-def _seed_spaces(t: Tiling, coefficients) -> list[EigenSpace]:
+def _seed_spaces(t: Tiling, coefficients, m: np.ndarray) -> list[EigenSpace]:
     """Maximal independent eigenvector sets of `_seed_operator`, valued
     under it.  S = 0 takes the unit vectors, value 0; S = c l_h or c l_v
     takes the closed form of that layer (`layer_eigenspaces`), values
-    scaled by c; any other S (M) goes through `eigenvector_basis`, its
-    candidate scan and exact kernels."""
+    scaled by c; any other S is M, given as m, and goes through
+    `eigenvector_basis`, its candidate scan and exact kernels."""
     beta, eta, nu, _ = coefficients
     if beta or (eta and nu):
-        return eigenvector_basis(_seed_operator(graph.layers(t), coefficients))
+        return eigenvector_basis(m)
     if eta or nu:
         c, axis = (eta, "row") if eta else (nu, "column")
         return [EigenSpace(c * s.value, s.vectors, s.exact) for s in layer_eigenspaces(t, axis)]
@@ -330,9 +333,14 @@ def build_families(t: Tiling, k: int) -> tuple[EigenFamily, EigenFamily, EigenFa
     For k = 1 the first three families are empty (ker(J_1) is trivial) and
     XM alone is a full eigenbasis of the original adjacency.
     """
+    return _build_families(t, k, _seed_operator(graph.layers(t), _m_coefficients(k)))
+
+
+def _build_families(t: Tiling, k: int, m: np.ndarray) -> tuple[EigenFamily, ...]:
+    """`build_families`, with XM's seed operator M given as m."""
     families = []
     for kind, tails, coefficients in _family_table(k):
-        seeds = _seed_spaces(t, coefficients) if tails else []
+        seeds = _seed_spaces(t, coefficients, m) if tails else []
         spaces = tuple(EigenSpace(s.value + coefficients[3], s.vectors, s.exact) for s in seeds)
         families.append(EigenFamily(kind, spaces, tuple(tails), coefficients))
     return tuple(families)  # type: ignore[return-value]
@@ -456,16 +464,17 @@ def _basis_rank(families, dim: int) -> int:
 
 
 def _factor_clauses(
-    t: Tiling, k: int, blown: np.ndarray
+    t: Tiling, k: int, blown: np.ndarray, d: graph.LayerDecomposition, m: np.ndarray
 ) -> tuple[tuple[EigenFamily, ...], float, int]:
     """Reconciliation, the families and the two factor-level clauses:
-    (families, largest approximate residual, rank of the blown stack)."""
+    (families, largest approximate residual, rank of the blown stack); d
+    is t's layers and m its M."""
     if not reconcile(t, k, blown):
         raise VerificationFailure("direct and Kronecker constructions differ")
     # reconciled, blown is a 0/1 adjacency, so ||blown||_F^2 counts its ones
     fro = math.sqrt(np.count_nonzero(blown))
-    families = build_families(t, k)
-    max_residual = _max_residual(families, graph.layers(t), substitution_set(k), fro)
+    families = _build_families(t, k, m)
+    max_residual = _max_residual(families, d, substitution_set(k), fro)
     return families, max_residual, _basis_rank(families, k * k * t.n_cells)
 
 
@@ -487,8 +496,10 @@ def verify(t: Tiling, k: int, blown: np.ndarray | None = None) -> EigenBasisRepo
     otherwise); the largest predicted eigenvalue comes from XM, is at least
     m*k^2 - 1 and matches the oracle maximum; and the predicted multiset --
     the families' eigenvalues -- matches the float oracle pairwise within
-    _SPECTRUM_TOL.  Raises VerificationFailure naming the first violated
-    clause.  `blown`, when given, must be `blown_adjacency(t, k)`; it is
+    _SPECTRUM_TOL.  A failed block check in the oracle is a
+    "spectrum-oracle-mismatch" too, reported after reconciliation, the
+    eigenvector and the rank clauses and before the eigenvalue clauses.
+    Raises VerificationFailure naming the first violated clause.  `blown`, when given, must be `blown_adjacency(t, k)`; it is
     built here otherwise.
 
     The eigenvector and rank clauses never form a k^2 N-vector.  The proof
@@ -509,28 +520,49 @@ def verify(t: Tiling, k: int, blown: np.ndarray | None = None) -> EigenBasisRepo
       sum of the families' ranks;
     - rank(X (x) W) = rank X * rank W (Van Loan, "The ubiquitous Kronecker
       product", J. Comput. Appl. Math. 123, 2000), for the N x N seed
-      stack X and the k^2-vector tails W of each family.
+      stack X and the k^2-vector tails W of each family;
+    - the float oracle, `blowup.block_spectrum`, proves on the blown
+      matrix's own integers that the fixed basis I_N (x) T_k (x) T_k
+      block-diagonalises it, and only then reads its k^2 N values off the
+      distinct N x N blocks.  It reads none of the above (not the family
+      table, the tails, the layers or `reconcile`), so it checks the
+      structure theorem rather than rests on it: were the theorem false
+      for some input, the block check would fail there too.
 
     Threads: the calling thread first runs the limit gate
     (`linalg._candidate_limits` on M: its size and scan cap, and past 512
     its annihilation certificate), so an input past a limit is refused
     before any kernel, oracle or blown matrix; only `blowup --matrix-out`
-    builds its file first, as the user asked.  It then builds the blown
-    matrix unless given and runs the float oracle, `linalg.float_eigen`: a
-    values-only `eigvalsh` on the k^2 N blown matrix, held to its power-sum
-    check, that spends most of its time in LAPACK with the GIL released,
-    while one worker thread runs `reconcile`, the families (XV and XH in
-    closed form, M scanned and kernelled) and the two factor-level clauses;
-    both are joined before the spectrum clauses.  When both fail, the
-    worker's VerificationFailure is raised, not the oracle's
-    ConvergenceError, so failures come in the order listed above.
+    builds its file first, as the user asked.  The layers and M are built
+    once, here, and the worker reuses them.  The calling thread then builds
+    the blown matrix unless given and runs the float oracle: the exact
+    block check, then one values-only `linalg.float_eigen` (`eigvalsh`,
+    held to its power-sum check) per distinct N x N block; a blown
+    adjacency has at most 4, one per family.  One worker thread runs
+    `reconcile`, the families (XV and XH in closed form, M scanned and
+    kernelled) and the two factor-level clauses; both are joined before
+    the spectrum clauses.  When both fail, the worker's VerificationFailure
+    is raised, not the oracle's error, so failures come in the order listed
+    above.  The threads overlap only where numpy releases the GIL, and
+    even there not fully: on a 2-core Xeon with one BLAS thread, two
+    threads each running a 729 x 729 `eigvalsh` took about twice as long
+    as one alone, and the dense `eigvalsh` oracle that `block_spectrum`
+    replaced overlapped the worker only in part.  So the oracle's time
+    adds to the worker's, in whole or in part.
     """
-    linalg._candidate_limits(_seed_operator(graph.layers(t), _m_coefficients(k)))
+    d = graph.layers(t)
+    m = _seed_operator(d, _m_coefficients(k))
+    linalg._candidate_limits(m)
     up_a = blown_adjacency(t, k) if blown is None else blown
     with ThreadPoolExecutor(max_workers=1) as pool:
-        clauses = pool.submit(_factor_clauses, t, k, up_a)
+        clauses = pool.submit(_factor_clauses, t, k, up_a, d, m)
         try:
-            oracle = tuple(linalg.float_eigen(up_a))
+            oracle = block_spectrum(up_a, k)
+            if oracle is None:
+                raise VerificationFailure(
+                    "spectrum-oracle-mismatch",
+                    "the blown matrix is not block-diagonalised by I_N (x) T_k (x) T_k",
+                )
         except Exception:
             clauses.result()  # a failed worker clause is reported first
             raise
@@ -570,7 +602,7 @@ def verify(t: Tiling, k: int, blown: np.ndarray | None = None) -> EigenBasisRepo
         total_rank=total_rank,
         max_residual=max_residual,
         predicted=predicted,
-        oracle=oracle,
+        oracle=tuple(oracle),
         spectrum_max_error=spectrum_max_error,
         max_predicted=max_predicted,
         max_family="XM",

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from sudoku_spectra import linalg as la
 from sudoku_spectra.blowup import (
+    block_spectrum,
     blown_adjacency,
     reconcile,
     subsquare_permutation,
@@ -139,3 +140,77 @@ def test_row_sum_scaling(t, k):
         expected = k * k * deg_b[c] + k * deg_h[c] + k * deg_v[c] + k * k - 1
         for s in range(k * k):
             assert int(sum(up[c * k * k + s])) == expected
+
+
+@given(tilings(min_m=2, max_m=5), st.integers(1, 3))
+@settings(max_examples=30, deadline=None)
+def test_block_spectrum_matches_dense_eigvalsh(t, k):
+    blown = blown_adjacency(t, k)
+    dense = np.linalg.eigvalsh(blown.astype(float))
+    assert np.max(np.abs(np.array(block_spectrum(blown, k)) - dense)) <= 1e-9
+
+
+def _float_calls(monkeypatch):
+    calls = []
+    for module, name in ((la, "float_eigen"), (np.linalg, "eigvalsh"), (np.linalg, "eigh")):
+        monkeypatch.setattr(module, name, lambda *args, _name=name: calls.append(_name))
+    return calls
+
+
+@pytest.mark.parametrize("change", ["flip", "swap"])
+def test_block_spectrum_refuses_a_broken_block_structure(freeform4, change, monkeypatch):
+    # a flipped symmetric pair changes the spectrum; swapping two vertices
+    # of different cells keeps it, but not the block structure, which is
+    # what the oracle proves: both are refused before any float is computed
+    k = 3
+    blown = blown_adjacency(freeform4, k)
+    if change == "flip":
+        blown[0, 1] = blown[1, 0] = 1 - blown[0, 1]
+    else:
+        swap = np.arange(blown.shape[0])
+        swap[[1, k * k]] = swap[[k * k, 1]]
+        blown = blown[np.ix_(swap, swap)]
+    calls = _float_calls(monkeypatch)
+    assert block_spectrum(blown, k) is None
+    assert calls == []
+
+
+def test_block_spectrum_refuses_a_size_off_the_blocks(monkeypatch):
+    calls = _float_calls(monkeypatch)
+    assert block_spectrum(np.zeros((5, 5), dtype=np.int64), 2) is None
+    assert calls == []
+
+
+@pytest.mark.parametrize("k, entry, refused", [
+    (2, 1 << 61, True),
+    (2, (1 << 61) - 1, False),
+    (3, -(1 << 63), True),
+    (1, 1 << 70, True),
+])
+def test_block_spectrum_int64_guard(k, entry, refused):
+    # R = a (I (x) T) is exact in int64 while k^2 max|a_ij| < 2**63; here
+    # a = entry J_{k^2}, whose spectrum is k^2 entry once and 0
+    a = np.full((k * k, k * k), entry, dtype=object)
+    if refused:
+        with pytest.raises(OverflowError, match=r"k\^2 max\|a_ij\| < 2\*\*63"):
+            block_spectrum(a, k)
+    else:
+        assert block_spectrum(a, k) == pytest.approx([0.0] * (k * k - 1) + [k * k * entry])
+
+
+def test_block_spectrum_guard_allocates_nothing_big():
+    # the guard reads min and max: neither a's size in int64 (the product R)
+    # nor in float is allocated before it refuses
+    import tracemalloc
+
+    k = 2
+    a = np.zeros((400, 400), dtype=np.int64)
+    a[0, 1] = a[1, 0] = 1 << 61
+    tracemalloc.start()
+    try:
+        with pytest.raises(OverflowError):
+            block_spectrum(a, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes // 4

@@ -512,3 +512,23 @@ def test_blowup_verify_lapack_failure_exits_3(routine, freeform4_file, monkeypat
     assert main(["blowup", freeform4_file, "--k", "2", "--verify"]) == 3
     err = capsys.readouterr().err
     assert err == "compute error: LAPACK failed: Eigenvalues did not converge\n"
+
+
+def test_parser_built_once_dispatches_each_command(classical2_file, capsys):
+    # one parser serves every call; each call still runs its own command,
+    # and bad input still exits 2 with usage
+    from sudoku_spectra import cli
+
+    cli.build_parser.cache_clear()
+    assert main(["check", classical2_file, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "check"
+    assert main(["spectrum", classical2_file, "--exact", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["command"] == "spectrum" and "float" not in report
+    with pytest.raises(SystemExit) as info:
+        main(["blowup", classical2_file, "--k", "0"])
+    assert info.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert main(["gen", "classical", "--n", "2"]) == 0
+    assert capsys.readouterr().out == render_tiling(classical_tiling(2))
+    assert cli.build_parser.cache_info().misses == 1

@@ -485,7 +485,7 @@ def _off_by_one(vec):
 
 
 def _verify_with(monkeypatch, t, k, families, **kwargs):
-    monkeypatch.setattr(eigenbasis_mod, "build_families", lambda t_, k_: families)
+    monkeypatch.setattr(eigenbasis_mod, "_build_families", lambda t_, k_, m_: families)
     return verify(t, k, **kwargs)
 
 
@@ -953,8 +953,9 @@ def test_only_m_is_scanned_and_kernelled(monkeypatch):
 def test_m_is_validated_once(monkeypatch):
     # classical n=3, k=3: M is checked once, by `integer_eigenspaces`, and
     # neither its kernels nor the candidate scan check it again; the other
-    # counts are the blown matrix's oracle check, the ranks of the seed and
-    # tail stacks, and the Gershgorin bounds of M's limit gate (on both
+    # counts are the oracle's checks (the blown matrix once, then each of
+    # its 4 distinct N x N blocks in `float_eigen`), the ranks of the seed
+    # and tail stacks, and the Gershgorin bounds of M's limit gate (on both
     # threads, on the object M) and of the exact eigenvector checks of the
     # kernel lifts and of the factor-level residual clause (on int64 copies)
     calls, bound_dtypes = [], []
@@ -970,24 +971,45 @@ def test_m_is_validated_once(monkeypatch):
         monkeypatch.setattr(la, name, counted)
     verify(classical_tiling(3), 3)
     counts = {name: calls.count(name) for name in set(calls)}
-    assert counts == {"_require_ints": 9, "_require_symmetric": 2, "gershgorin_bound": 12}
+    assert counts == {"_require_ints": 9, "_require_symmetric": 6, "gershgorin_bound": 12}
     assert bound_dtypes.count(np.int64) == 10
 
 
 def test_blown_matrix_never_reaches_eigh(monkeypatch):
     # the oracle is values-only: eigh sees only M's complement of its exact
-    # eigenvectors, never the k^2 N blown matrix
-    shapes = []
-    real = np.linalg.eigh
+    # eigenvectors, never the k^2 N blown matrix; eigvalsh sees the
+    # oracle's N x N blocks and the closed-form seeds' small matrices
+    shapes = {"eigh": [], "eigvalsh": []}
+    for name in shapes:
+        real = getattr(np.linalg, name)
 
-    def recorded(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return real(a, *args, **kwargs)
+        def recorded(a, *args, _real=real, _name=name, **kwargs):
+            shapes[_name].append(a.shape)
+            return _real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", recorded)
+        monkeypatch.setattr(np.linalg, name, recorded)
     t = random_tiling(9, 1)
     verify(t, 2)
-    assert shapes and all(shape[0] < t.n_cells for shape in shapes)
+    assert shapes["eigh"] and all(shape[0] < t.n_cells for shape in shapes["eigh"])
+    assert shapes["eigvalsh"].count((t.n_cells, t.n_cells)) == 4
+    assert all(shape[0] <= t.n_cells for shape in shapes["eigvalsh"])
+
+
+def test_broken_block_structure_is_an_oracle_mismatch(monkeypatch):
+    # with reconcile passed over, a blown matrix with one symmetric pair
+    # flipped reaches the oracle, whose block check refuses it before any
+    # float value is computed
+    t = classical_tiling(2)
+    monkeypatch.setattr(eigenbasis_mod, "reconcile", lambda *args: True)
+    calls = []
+    monkeypatch.setattr(la, "float_eigen", lambda a: calls.append(a.shape))
+    with pytest.raises(VerificationFailure) as info:
+        verify(t, 2, blown=_one_edge_off(t, 2))
+    assert str(info.value) == (
+        "spectrum-oracle-mismatch: "
+        "the blown matrix is not block-diagonalised by I_N (x) T_k (x) T_k"
+    )
+    assert calls == []
 
 
 def test_multipartite_lapack_failure(monkeypatch):
