@@ -103,8 +103,9 @@ def subsquare_permutation(m: int, k: int) -> np.ndarray:
     return perm
 
 
-# rows of the direct graph built at a time in `reconcile`: it runs beside
-# the float oracle, so a band of a few tens of KB, not the whole bool
+# rows of a k^2 N x k^2 N matrix handled at a time by `reconcile` (the
+# direct graph, in bool) and by `block_spectrum` (a float copy): each runs
+# beside the other, so a band of a few hundred KB at most, not a whole
 # matrix, is what it adds to peak memory
 _BAND = 64
 
@@ -145,10 +146,13 @@ def block_spectrum(a, k: int) -> list[float] | None:
 
     The columns of T_k are 1_k and e_0 - e_i for i = 1 .. k-1, so
     det T_k = +-k, T is invertible and row 0 of T is all ones.
-    R = a (I_N (x) T) is formed in int64, as R[j, c, s, c'] for row
-    c k^2 + s and column c' k^2 + j; a column of T has at most k^2 entries
-    +-1, so this is exact while k^2 max|a_ij| < 2**63, and past that
-    OverflowError is raised before R or a float copy is allocated.  Then,
+    R = a (I_N (x) T) is formed as R[j, c, s, c'] for row c k^2 + s and
+    column c' k^2 + j.  A column of T has at most k^2 entries +-1, so each
+    entry of R and every partial sum of it is an integer of size at most
+    k^2 max|a_ij|.  While that is below 2**53, R is a float64 BLAS product,
+    exact whatever order BLAS sums in, formed _BAND rows of a at a time;
+    up to 2**63 it is an int64 product; past that OverflowError is raised
+    before R or a float copy is allocated.  Then,
     one column t_j of T at a time, E_j = R[j, :, 0, :] and R[j] must equal
     E_j (x) t_j exactly.  If it does for every j, then
     a (I (x) T) = (I (x) T) P with P the E_j on a permuted block diagonal,
@@ -163,17 +167,26 @@ def block_spectrum(a, k: int) -> list[float] | None:
     if a.dtype != np.int64:
         a = linalg._for_residues(linalg._require_ints(a))
     kk = k * k
-    if a.dtype != np.int64 \
-            or kk * max(-int(a.min(initial=0)), int(a.max(initial=0))) >= 1 << 63:
+    size = a.shape[0]
+    bound = kk * max(-int(a.min(initial=0)), int(a.max(initial=0)))
+    if a.dtype != np.int64 or bound >= 1 << 63:
         raise OverflowError(f"block_spectrum needs k^2 max|a_ij| < 2**63 (k = {k})")
-    n = a.shape[0] // kk
-    if n * kk != a.shape[0]:
+    n = size // kk
+    if n * kk != size:
         return None
     t_k = -np.eye(k, dtype=np.int64)
     t_k[0] = t_k[:, 0] = 1
     t = np.kron(t_k, t_k)
     # column j first, so each column's check reads contiguous memory
-    r = (t.T @ a.reshape(-1, kk).T).reshape(kk, n, kk, n)
+    if bound < linalg._FLOAT64_EXACT:
+        r = np.empty((kk, size * n))
+        t_f = t.T.astype(float)
+        for lo in range(0, size, _BAND):
+            hi = min(lo + _BAND, size)
+            np.matmul(t_f, a[lo:hi].astype(float).reshape(-1, kk).T, out=r[:, lo * n:hi * n])
+        r = r.reshape(kk, n, kk, n)
+    else:
+        r = (t.T @ a.reshape(-1, kk).T).reshape(kk, n, kk, n)
     blocks: list[np.ndarray] = []
     counts: list[int] = []
     for j in range(kk):
@@ -182,7 +195,7 @@ def block_spectrum(a, k: int) -> list[float] | None:
             return None
         same = next((i for i, b in enumerate(blocks) if np.array_equal(b, e)), None)
         if same is None:
-            blocks.append(np.ascontiguousarray(e))
+            blocks.append(e.astype(np.int64))
             counts.append(1)
         else:
             counts[same] += 1

@@ -18,11 +18,17 @@ cells in the original grid the families have sizes (k-1)N, (k-1)N,
 blown spectrum is the union over the families f of spec S_f + delta_f,
 each repeated once per tail of f; the largest eigenvalue always comes from
 XM.  The seeds of XV and XH have closed-form eigenspaces
-(`layer_eigenspaces`), with no kernel, scan or size limit; M's come from
-`eigenvector_basis`, where exact kernels decide the integer eigenspaces
-(M up to 512 x 512, or larger when proven integral) and floats never
-decide which vectors are exact.  Non-integer eigenpairs, of M or of a
-closed form, are flagged approximate and held to a residual contract.
+(`layer_eigenspaces`), with no kernel, scan or size limit.  M's come from
+the partition lattice when it accepts the tiling: l_b, l_h and l_v then
+act as integers on the joint eigenspaces V_E of the commuting class
+projections, and `spectra._lattice_eigenspaces` reads exact bases of the
+V_E off the columns of integer projectors, independent mod one prime, so
+M is integral and nothing is scanned, kernelled or lifted.  Otherwise
+they come from `eigenvector_basis`, where exact kernels decide the
+integer eigenspaces (M up to 512 x 512, or larger when proven integral)
+and floats never decide which vectors are exact.  Non-integer eigenpairs,
+of M or of a closed form, are flagged approximate and held to a residual
+contract.
 
 A family is kept in factored form, its seed eigenspaces and its tails w,
 and `verify` proves the basis on those factors, never on the k^2 N blown
@@ -310,15 +316,22 @@ def _seed_operator(d: graph.LayerDecomposition, coefficients) -> np.ndarray:
     return beta * d.l_b + eta * d.l_h + nu * d.l_v
 
 
-def _seed_spaces(t: Tiling, coefficients, m: np.ndarray) -> list[EigenSpace]:
+def _seed_spaces(t: Tiling, coefficients, m: np.ndarray, lattice) -> list[EigenSpace]:
     """Maximal independent eigenvector sets of `_seed_operator`, valued
     under it.  S = 0 takes the unit vectors, value 0; S = c l_h or c l_v
     takes the closed form of that layer (`layer_eigenspaces`), values
-    scaled by c; any other S is M, given as m, and goes through
-    `eigenvector_basis`, its candidate scan and exact kernels."""
+    scaled by c; any other S is M, given as m.  When `lattice`, t's
+    partition lattice, is not None, M's exact eigenspaces are read off it
+    (`spectra._lattice_eigenspaces`, weighted by the coefficients); when
+    the lattice rejects t (None), or a rank there comes out short mod its
+    prime, M goes through `eigenvector_basis`, its candidate scan and exact
+    kernels."""
     beta, eta, nu, _ = coefficients
     if beta or (eta and nu):
-        return eigenvector_basis(m)
+        spaces = None if lattice is None else spectra._lattice_eigenspaces(lattice, (beta, eta, nu))
+        if spaces is None:
+            return eigenvector_basis(m)
+        return [EigenSpace(lam, tuple(vecs), True) for lam, vecs in spaces]
     if eta or nu:
         c, axis = (eta, "row") if eta else (nu, "column")
         return [EigenSpace(c * s.value, s.vectors, s.exact) for s in layer_eigenspaces(t, axis)]
@@ -333,14 +346,16 @@ def build_families(t: Tiling, k: int) -> tuple[EigenFamily, EigenFamily, EigenFa
     For k = 1 the first three families are empty (ker(J_1) is trivial) and
     XM alone is a full eigenbasis of the original adjacency.
     """
-    return _build_families(t, k, _seed_operator(graph.layers(t), _m_coefficients(k)))
+    m = _seed_operator(graph.layers(t), _m_coefficients(k))
+    return _build_families(t, k, m, spectra._lattice(t))
 
 
-def _build_families(t: Tiling, k: int, m: np.ndarray) -> tuple[EigenFamily, ...]:
-    """`build_families`, with XM's seed operator M given as m."""
+def _build_families(t: Tiling, k: int, m: np.ndarray, lattice) -> tuple[EigenFamily, ...]:
+    """`build_families`, with XM's seed operator M given as m and t's
+    partition lattice (None when it rejects t) as lattice."""
     families = []
     for kind, tails, coefficients in _family_table(k):
-        seeds = _seed_spaces(t, coefficients, m) if tails else []
+        seeds = _seed_spaces(t, coefficients, m, lattice) if tails else []
         spaces = tuple(EigenSpace(s.value + coefficients[3], s.vectors, s.exact) for s in seeds)
         families.append(EigenFamily(kind, spaces, tuple(tails), coefficients))
     return tuple(families)  # type: ignore[return-value]
@@ -352,10 +367,16 @@ def blowup_is_integral(t: Tiling, k: int) -> bool:
     Decided on the seed operators, never on the k^2 N blown matrix: the
     blown spectrum is the union of spec S_f + delta_f over the nonempty
     families (k l_v, k l_h and 0 for k > 1, and M), so it is integral iff
-    every such S_f is.  l_v and l_h are integral iff every secular root of
-    every line is an integer (`_secular_roots`); M's exact spectrum decides
-    the rest.
+    every such S_f is.  When the partition lattice accepts t, every S_f is
+    integral, M is never built and the answer is True: each S_f is a
+    combination of l_b, l_h and l_v, which act as integers on the joint
+    eigenspaces V_E, and those span the space (`spectra._Lattice.value`).
+    Otherwise l_v and l_h are integral iff every secular root of every line
+    is an integer (`_secular_roots`), and M's exact spectrum decides the
+    rest.
     """
+    if spectra._lattice(t) is not None:
+        return True
     if k > 1 and any(None in _secular_roots(Counter(map(len, parts)))
                      for axis in ("column", "row") for parts in _line_parts(t, axis)):
         return False
@@ -464,16 +485,16 @@ def _basis_rank(families, dim: int) -> int:
 
 
 def _factor_clauses(
-    t: Tiling, k: int, blown: np.ndarray, d: graph.LayerDecomposition, m: np.ndarray
+    t: Tiling, k: int, blown: np.ndarray, d: graph.LayerDecomposition, m: np.ndarray, lattice
 ) -> tuple[tuple[EigenFamily, ...], float, int]:
     """Reconciliation, the families and the two factor-level clauses:
     (families, largest approximate residual, rank of the blown stack); d
-    is t's layers and m its M."""
+    is t's layers, m its M and lattice its partition lattice or None."""
     if not reconcile(t, k, blown):
         raise VerificationFailure("direct and Kronecker constructions differ")
     # reconciled, blown is a 0/1 adjacency, so ||blown||_F^2 counts its ones
     fro = math.sqrt(np.count_nonzero(blown))
-    families = _build_families(t, k, m)
+    families = _build_families(t, k, m, lattice)
     max_residual = _max_residual(families, d, substitution_set(k), fro)
     return families, max_residual, _basis_rank(families, k * k * t.n_cells)
 
@@ -499,8 +520,9 @@ def verify(t: Tiling, k: int, blown: np.ndarray | None = None) -> EigenBasisRepo
     _SPECTRUM_TOL.  A failed block check in the oracle is a
     "spectrum-oracle-mismatch" too, reported after reconciliation, the
     eigenvector and the rank clauses and before the eigenvalue clauses.
-    Raises VerificationFailure naming the first violated clause.  `blown`, when given, must be `blown_adjacency(t, k)`; it is
-    built here otherwise.
+    Raises VerificationFailure naming the first violated clause.
+    `blown`, when given, must be `blown_adjacency(t, k)`; it is built here
+    otherwise.
 
     The eigenvector and rank clauses never form a k^2 N-vector.  The proof
     chain:
@@ -514,7 +536,9 @@ def verify(t: Tiling, k: int, blown: np.ndarray | None = None) -> EigenBasisRepo
       + delta I, so the N x N check E x = mu x makes x (x) w an
       eigenvector for mu, with residual ||(E - mu) x|| * ||w||.  For an
       exact seed the check is a proof, not a tolerance:
-      `linalg.eigen_mismatch` decides E X = X diag(mu) exactly;
+      `linalg.eigen_mismatch` decides E X = X diag(mu) exactly.  That holds
+      whichever route gave M's seeds: the lattice's (see the module
+      docstring) are checked like the kernels', and so is their rank;
     - tails of different families are orthogonal, so (x (x) w) . (x' (x) w')
       = (x . x')(w . w') = 0 across families, and the stack's rank is the
       sum of the families' ranks;
@@ -529,18 +553,21 @@ def verify(t: Tiling, k: int, blown: np.ndarray | None = None) -> EigenBasisRepo
       structure theorem rather than rests on it: were the theorem false
       for some input, the block check would fail there too.
 
-    Threads: the calling thread first runs the limit gate
-    (`linalg._candidate_limits` on M: its size and scan cap, and past 512
-    its annihilation certificate), so an input past a limit is refused
-    before any kernel, oracle or blown matrix; only `blowup --matrix-out`
-    builds its file first, as the user asked.  The layers and M are built
-    once, here, and the worker reuses them.  The calling thread then builds
+    Threads: the calling thread first reads t's partition lattice
+    (`spectra._lattice`).  Only when the lattice rejects t does it run the
+    limit gate (`linalg._candidate_limits` on M: its size and scan cap, and
+    past 512 its annihilation certificate), so an input past a limit is
+    refused before any kernel, oracle or blown matrix; only
+    `blowup --matrix-out` builds its file first, as the user asked.  An
+    accepted t has no limit to check: its M is read off the lattice.  The
+    layers, M and the lattice are built once, here, and the worker reuses
+    them.  The calling thread then builds
     the blown matrix unless given and runs the float oracle: the exact
     block check, then one values-only `linalg.float_eigen` (`eigvalsh`,
     held to its power-sum check) per distinct N x N block; a blown
     adjacency has at most 4, one per family.  One worker thread runs
-    `reconcile`, the families (XV and XH in closed form, M scanned and
-    kernelled) and the two factor-level clauses; both are joined before
+    `reconcile`, the families (XV and XH in closed form, M off the lattice
+    or scanned and kernelled) and the two factor-level clauses; both are joined before
     the spectrum clauses.  When both fail, the worker's VerificationFailure
     is raised, not the oracle's error, so failures come in the order listed
     above.  The threads overlap only where numpy releases the GIL, and
@@ -552,10 +579,12 @@ def verify(t: Tiling, k: int, blown: np.ndarray | None = None) -> EigenBasisRepo
     """
     d = graph.layers(t)
     m = _seed_operator(d, _m_coefficients(k))
-    linalg._candidate_limits(m)
+    lattice = spectra._lattice(t)
+    if lattice is None:
+        linalg._candidate_limits(m)
     up_a = blown_adjacency(t, k) if blown is None else blown
     with ThreadPoolExecutor(max_workers=1) as pool:
-        clauses = pool.submit(_factor_clauses, t, k, up_a, d, m)
+        clauses = pool.submit(_factor_clauses, t, k, up_a, d, m, lattice)
         try:
             oracle = block_spectrum(up_a, k)
             if oracle is None:

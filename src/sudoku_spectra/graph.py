@@ -10,6 +10,7 @@ adjacency matrix is l_b + l_h + l_v.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Literal
 
 import numpy as np
@@ -75,8 +76,17 @@ def adjacency(t: Tiling) -> np.ndarray:
     """Adjacency matrix of the graph: sum of the three disjoint layers.
 
     Summed in int64 and converted to object once; the conversion yields
-    Python ints."""
-    return _adjacency_int64(t).astype(object)
+    Python ints.  The matrix of the last tiling asked for is kept and
+    returned again, read-only, so `spectrum --both` builds it once for the
+    exact route's fallback and the float route."""
+    return _last_adjacency(t)
+
+
+@lru_cache(maxsize=1)
+def _last_adjacency(t: Tiling) -> np.ndarray:
+    adj = _adjacency_int64(t).astype(object)
+    adj.flags.writeable = False
+    return adj
 
 
 def block_row_profile(t: Tiling, axis: Axis = "row") -> BlockRowProfile:

@@ -656,26 +656,37 @@ def _rref_mod(h: np.ndarray, p: int) -> list[int]:
 
     Rows r.. are zero left of column c and the rows above are zero in the
     earlier pivot columns, so the swap, the scaling and the update touch
-    columns c.. only, and the update only rows nonzero in column c.
+    columns c.. only, and the update only rows nonzero in column c.  The
+    reduction mod p is delayed: each step reduces only column c and the
+    pivot row, so an update subtracts less than p^2 from an entry, and the
+    columns right of c are reduced once every `period` steps, which keeps
+    every entry in int64, and once at the end.  The reduced form mod p is
+    unique, so the result is the one a reduction at every step gives.
     """
     n_rows, n_cols = h.shape
+    # entries start in [0, p) and each update takes less than p^2 off them
+    period = ((1 << 63) - 1 - p) // (p * p)
     pivots: list[int] = []
     r = 0
     for c in range(n_cols):
+        col = h[:, c]
+        col %= p
         # columns are 1-d, so nonzero() skips flatnonzero's ravel
-        nz = h[r:, c].nonzero()[0]
+        nz = col[r:].nonzero()[0]
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
         if piv != r:
             h[[r, piv], c:] = h[[piv, r], c:]
-        h[r, c:] = h[r, c:] * pow(int(h[r, c]), -1, p) % p
-        live = h[:, c].nonzero()[0]
+        h[r, c:] = h[r, c:] % p * pow(int(col[r]), -1, p) % p
+        live = col.nonzero()[0]
         live = live[live != r]
         if live.size:
-            h[live, c:] = (h[live, c:] - h[live, c, None] * h[r, c:]) % p
+            h[live, c:] -= h[live, c, None] * h[r, c:]
         pivots.append(c)
         r += 1
+        if r == n_rows or r % period == 0:
+            h[:, c + 1:] %= p
         if r == n_rows:
             break
     return pivots

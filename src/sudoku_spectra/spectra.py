@@ -21,10 +21,18 @@ matrix.  On tilings, route 2 has never proven what the lattice had not:
 the lattice accepts every integral tiling at m = 3 (24 of the 1680
 labelled tilings) and at m = 4 (53 of the 2,627,625 partitions of the
 4 x 4 grid into four blocks of four), so every tiling it rejects there is
-decided by route 3.  The annihilation certificate still proves the
-spectrum of the blow-up seed M in `eigenbasis.blowup_is_integral` (which
-`search --blowup-k` calls) and, past 512 vertices, the candidates of
-`linalg._candidate_limits` (M's in `blowup --verify`).
+decided by route 3.
+
+The lattice also serves the blow-up seed M = k^2 l_b + k l_h + k l_v of
+a tiling it accepts: every combination of the layers acts as an integer
+on each joint eigenspace (`_Lattice.value`), so `eigenbasis`'s
+`blowup_is_integral` answers True for such a tiling without building M
+or running annihilation, and `blowup --verify` takes M's exact
+eigenspaces from `_lattice_eigenspaces`.  The annihilation certificate
+still proves M for the tilings the lattice rejects: in
+`blowup_is_integral` (which `search --blowup-k` calls) and, past 512
+vertices, for the candidates of `linalg._candidate_limits` (M's in
+`blowup --verify`).
 """
 
 from __future__ import annotations
@@ -132,7 +140,9 @@ def tiling_spectrum(t: Tiling) -> Spectrum:
 # classes); so tr prod_{X in T} P_X = #classes(∨T).  The joint eigenspace
 # where P_X is 1 for X in E and 0 for X not in E then has dimension
 # sum_{T ⊇ E} (-1)^{|T - E|} #classes(∨T), and A acts on it as
-# sum_{X in E} ±s_X - 1, with minus for RB and CB.
+# sum_{X in E} ±s_X - 1, with minus for RB and CB.  So does every
+# combination of the layers l_b = J_B - I, l_h = J_R - J_RB and
+# l_v = J_C - J_CB, each with its own weight (`_Lattice.value`).
 #
 # P_X and P_Y commute iff in every class z of X ∨ Y every X-class meets
 # every Y-class in |x| |y| / |z| cells (Tjur's criterion for orthogonal
@@ -193,10 +203,32 @@ def _commuting_join(x: np.ndarray, y: np.ndarray, sx: int, sy: int) -> int | Non
     return int(np.count_nonzero(z_size))
 
 
-def _lattice_spectrum(t: Tiling) -> Spectrum | None:
-    """The spectrum read off the partition lattice (see the section
-    comment), or None when the row∩block or column∩block pieces vary in
-    size or a tested pair of projections does not commute."""
+@dataclass(frozen=True, eq=False)
+class _Lattice:
+    """The partition lattice of a tiling it accepts: the cell labels of R,
+    C, B, RB and CB (bits 0 .. 4 of a pattern E), each numbered 0 ..
+    #classes - 1, the class size s_X of each, and dims[E], the dimension of
+    the joint eigenspace V_E on which P_X is 1 for X in E and 0 otherwise."""
+
+    labels: tuple[np.ndarray, ...]
+    sizes: tuple[int, ...]
+    dims: tuple[int, ...]
+
+    def value(self, pattern: int, weights) -> int:
+        """The value of beta l_b + eta l_h + nu l_v on V_E, for the weights
+        (beta, eta, nu): l_b = J_B - I, l_h = J_R - J_RB and l_v = J_C - J_CB,
+        and J_X = s_X P_X is s_X on V_E when X is in E, else 0."""
+        s_r, s_c, s_b, s_rb, s_cb = (
+            size if pattern >> bit & 1 else 0 for bit, size in enumerate(self.sizes)
+        )
+        beta, eta, nu = weights
+        return beta * (s_b - 1) + eta * (s_r - s_rb) + nu * (s_c - s_cb)
+
+
+def _lattice(t: Tiling) -> _Lattice | None:
+    """The tiling's partition lattice (see the section comment), or None
+    when the row∩block or column∩block pieces vary in size or a tested pair
+    of projections does not commute."""
     m, nb = t.m, t.n_blocks
     n = m * m
     cell = np.arange(n)
@@ -233,13 +265,65 @@ def _lattice_spectrum(t: Tiling) -> Spectrum | None:
         for members in range(32):
             if not members >> bit & 1:
                 dims[members] -= dims[members | 1 << bit]
-    signed = (sizes[0], sizes[1], sizes[2], -sizes[3], -sizes[4])
+    return _Lattice(labels, tuple(sizes), tuple(dims))
+
+
+def _lattice_spectrum(t: Tiling) -> Spectrum | None:
+    """The spectrum read off the partition lattice: A = l_b + l_h + l_v is
+    `_Lattice.value` with weights (1, 1, 1) on each V_E; None when the
+    lattice rejects the tiling."""
+    lat = _lattice(t)
+    if lat is None:
+        return None
     spectrum: dict[int, int] = {}
-    for pattern, dim in enumerate(dims):
+    for pattern, dim in enumerate(lat.dims):
         if dim:
-            lam = sum(s for bit, s in enumerate(signed) if pattern >> bit & 1) - 1
+            lam = lat.value(pattern, (1, 1, 1))
             spectrum[lam] = spectrum.get(lam, 0) + dim
     return Spectrum(tuple(sorted(spectrum.items())), (1,))
+
+
+# the prime whose ranks prove the columns of each Pi_E independent
+_LATTICE_PRIME = linalg._primes(1)[0]
+
+
+def _lattice_eigenspaces(lat: _Lattice, weights) -> list[tuple[int, list[np.ndarray]]] | None:
+    """(value, basis) for each eigenvalue of S = beta l_b + eta l_h + nu l_v,
+    ascending, on a lattice-accepted tiling, with exact primitive integer
+    vectors whose first nonzero entry is positive; None when some Pi_E
+    falls short of rank dims[E] mod _LATTICE_PRIME.
+
+    Pi_E = prod_{X in E} J_X prod_{X not in E} (s_X I - J_X) is a product of
+    commuting factors, so it is (prod s_X) times the orthogonal projector
+    onto V_E, and its columns span V_E.  It is formed in int64 by class
+    sums, one factor at a time: each partial product is a product of s_X
+    times a projector, so no entry exceeds prod s_X <= n^3.  Columns
+    independent mod p are independent over the rationals (a minor nonzero
+    mod p is nonzero), so the dims[E] pivot columns of Pi_E mod p are a
+    basis of V_E, on which S is `_Lattice.value`; no kernel, scan or lift
+    is needed.  The spaces of the patterns with one value are joined: the
+    V_E are orthogonal.
+    """
+    n = len(lat.labels[0])
+    p = _LATTICE_PRIME
+    # each partition's cells in class order, so a class sum is a reshape
+    order = [np.argsort(x, kind="stable") for x in lat.labels]
+    spaces: dict[int, list[np.ndarray]] = {}
+    for pattern, dim in enumerate(lat.dims):
+        if not dim:
+            continue
+        pi = np.eye(n, dtype=np.int64)
+        for bit, (x, size, o) in enumerate(zip(lat.labels, lat.sizes, order)):
+            summed = pi[o].reshape(-1, size, n).sum(axis=1)[x]  # J_X pi
+            pi = summed if pattern >> bit & 1 else size * pi - summed
+        pivots = linalg._rref_mod(pi % p, p)
+        if len(pivots) != dim:
+            return None
+        cols = pi[:, pivots]
+        first = cols[(cols != 0).argmax(axis=0), np.arange(dim)]
+        cols //= np.gcd.reduce(cols, axis=0) * np.sign(first)
+        spaces.setdefault(lat.value(pattern, weights), []).extend(cols.T.astype(object))
+    return sorted(spaces.items())
 
 
 def is_integral(a) -> bool:

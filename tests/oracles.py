@@ -11,6 +11,9 @@ mod a prime (`linalg._rref_mod`):
   `linalg.rational_kernel` must reproduce byte for byte;
 - `rank_mod_dense` is the whole-row modular elimination whose rank
   `linalg._rref_mod`'s live-row updates must reproduce;
+- `rref_mod_eager` is Gauss-Jordan mod p reducing every updated entry at
+  every step, whose reduced form and pivots `linalg._rref_mod`'s delayed
+  reduction must reproduce;
 - `hessenberg_charpoly_scalar` is the one-term-at-a-time recurrence the
   table recurrence of `linalg._charpoly_mod` must reproduce;
 - `substitute_template` builds the blow-up symbol by symbol as the
@@ -207,6 +210,32 @@ def rank_mod_dense(mat, p: int) -> int:
         if r == n_rows:
             break
     return r
+
+
+def rref_mod_eager(h: np.ndarray, p: int) -> list[int]:
+    """`linalg._rref_mod` with every updated entry reduced mod p at every
+    step: h (int64 residues in [0, p)) is reduced in place, and the pivot
+    columns are returned."""
+    n_rows, n_cols = h.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(n_cols):
+        nz = h[r:, c].nonzero()[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            h[[r, piv], c:] = h[[piv, r], c:]
+        h[r, c:] = h[r, c:] * pow(int(h[r, c]), -1, p) % p
+        live = h[:, c].nonzero()[0]
+        live = live[live != r]
+        if live.size:
+            h[live, c:] = (h[live, c:] - h[live, c, None] * h[r, c:]) % p
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return pivots
 
 
 def hessenberg_charpoly_scalar(h, p: int) -> np.ndarray:

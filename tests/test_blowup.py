@@ -186,16 +186,36 @@ def test_block_spectrum_refuses_a_size_off_the_blocks(monkeypatch):
     (2, (1 << 61) - 1, False),
     (3, -(1 << 63), True),
     (1, 1 << 70, True),
+    (2, 1 << 51, False),
+    (2, (1 << 51) - 1, False),
+    (3, (1 << 53) // 9, False),
 ])
 def test_block_spectrum_int64_guard(k, entry, refused):
-    # R = a (I (x) T) is exact in int64 while k^2 max|a_ij| < 2**63; here
-    # a = entry J_{k^2}, whose spectrum is k^2 entry once and 0
+    # R = a (I (x) T) is exact in int64 while k^2 max|a_ij| < 2**63, and in
+    # float64 while it is below 2**53 (the last two cases, on either side
+    # of that boundary at k = 2); here a = entry J_{k^2}, whose spectrum is
+    # k^2 entry once and 0
     a = np.full((k * k, k * k), entry, dtype=object)
     if refused:
         with pytest.raises(OverflowError, match=r"k\^2 max\|a_ij\| < 2\*\*63"):
             block_spectrum(a, k)
     else:
         assert block_spectrum(a, k) == pytest.approx([0.0] * (k * k - 1) + [k * k * entry])
+
+
+@pytest.mark.parametrize("entry", [(1 << 51) - 2, 1 << 51, 1 << 60],
+                         ids=["float64", "int64-at-2**53", "int64"])
+def test_block_spectrum_sees_a_unit_change_at_any_size(entry):
+    # entry J_4 plus one symmetric unit: no longer block-diagonalised by
+    # I (x) T_2 (x) T_2.  A float64 copy of a would round the unit away past
+    # 2**53 and pass the block check, so the exact product must decide
+    k = 2
+    a = np.full((2 * k * k, 2 * k * k), 0, dtype=object)
+    a[:4, :4] = a[4:, 4:] = entry
+    assert block_spectrum(a, k) == pytest.approx([0.0] * 6 + [4 * entry] * 2)
+    a[0, 1] += 1
+    a[1, 0] += 1
+    assert block_spectrum(a, k) is None
 
 
 def test_block_spectrum_guard_allocates_nothing_big():

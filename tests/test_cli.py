@@ -31,6 +31,21 @@ def test_spectrum_exact(classical2_file, capsys):
     assert "residual degree 0" in out
 
 
+def test_spectrum_both_builds_the_adjacency_once(freeform4_file, monkeypatch, capsys):
+    # the lattice rejects the free-form example, so the exact route falls
+    # back to the adjacency, and the float route reads the same matrix
+    from sudoku_spectra import graph
+
+    built = []
+    real = graph._adjacency_int64
+    monkeypatch.setattr(graph, "_adjacency_int64", lambda t: built.append(t) or real(t))
+    graph._last_adjacency.cache_clear()
+    assert main(["spectrum", freeform4_file, "--both", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(built) == 1
+    assert report["exact"]["residual_degree"] == 13 and len(report["float"]) == 16
+
+
 def test_spectrum_json_roundtrip(freeform4_file, capsys):
     assert main(["spectrum", freeform4_file, "--both", "--json"]) == 0
     out = capsys.readouterr().out

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sudoku_spectra import eigenbasis as eigenbasis_mod
 from sudoku_spectra import linalg as la
+from sudoku_spectra import spectra
 from sudoku_spectra.blowup import blown_adjacency, substitution_set
 from sudoku_spectra.eigenbasis import (
     VerificationFailure,
@@ -21,9 +22,16 @@ from sudoku_spectra.eigenbasis import (
 )
 from sudoku_spectra.graph import adjacency, layers
 from sudoku_spectra.spectra import exact_spectrum
-from sudoku_spectra.tiling import classical_tiling, random_tiling, row_tiling
+from sudoku_spectra.tiling import (
+    Tiling,
+    blow_up_tiling,
+    classical_tiling,
+    random_tiling,
+    row_tiling,
+)
 
 from conftest import tilings
+from test_lattice import transpose
 from oracles import blown_vectors, dense_basis_rank, dense_max_residual, int_matrix
 
 
@@ -418,9 +426,10 @@ def test_blowup_is_integral_classical2(k):
 
 
 def test_blowup_is_integral_past_char_poly_limit(monkeypatch):
-    # classical n=5 at k=2: M is 625 x 625, past char_poly's 512 limit, so
-    # only the annihilation certificate can prove it integral; it runs once,
-    # on M, and the layers are decided by their secular roots
+    # classical n=5 at k=2: M is 625 x 625, past char_poly's 512 limit.  The
+    # partition lattice accepts the tiling, so neither M nor a certificate
+    # is computed; the annihilation certificate, the one matrix route past
+    # 512, proves the same M integral, once
     real = la.integral_spectrum
     seen = []
 
@@ -430,7 +439,15 @@ def test_blowup_is_integral_past_char_poly_limit(monkeypatch):
         return out
 
     monkeypatch.setattr(la, "integral_spectrum", recorded)
-    assert blowup_is_integral(classical_tiling(5), 2)
+    built = []
+    real_seed = eigenbasis_mod._seed_operator
+    monkeypatch.setattr(eigenbasis_mod, "_seed_operator",
+                        lambda *args: built.append(args) or real_seed(*args))
+    t = classical_tiling(5)
+    assert blowup_is_integral(t, 2)
+    assert seen == [] and built == []
+    d = layers(t)
+    assert exact_spectrum(4 * d.l_b + 2 * d.l_h + 2 * d.l_v).is_integral
     assert seen == [((625, 625), True)]
 
 
@@ -485,7 +502,7 @@ def _off_by_one(vec):
 
 
 def _verify_with(monkeypatch, t, k, families, **kwargs):
-    monkeypatch.setattr(eigenbasis_mod, "_build_families", lambda t_, k_, m_: families)
+    monkeypatch.setattr(eigenbasis_mod, "_build_families", lambda t_, k_, m_, lattice_: families)
     return verify(t, k, **kwargs)
 
 
@@ -777,12 +794,15 @@ def test_build_families_match_vectorwise_kron(t, k):
     # w, x-major and tail-minor, with the same entry types
     families = build_families(t, k)
     d = layers(t)
+    lattice = spectra._lattice(t)  # M's seeds come off it when it accepts t
+    m_spaces = lattice and spectra._lattice_eigenspaces(lattice, (k * k, k, k))
     seeds = {
         "XV": layer_eigenspaces(t, "column"),  # the closed-form layer seeds
         "XH": layer_eigenspaces(t, "row"),
         "XE": [eigenbasis_mod.EigenSpace(0, tuple(la.unit_vector(t.n_cells, i)
                                                   for i in range(t.n_cells)), True)],
-        "XM": eigenvector_basis(k * k * d.l_b + k * d.l_h + k * d.l_v),
+        "XM": [eigenbasis_mod.EigenSpace(lam, tuple(vecs), True) for lam, vecs in m_spaces]
+        if m_spaces else eigenvector_basis(k * k * d.l_b + k * d.l_h + k * d.l_v),
     }
     for kind, tails, _ in eigenbasis_mod._family_table(k):
         fam = next(f for f in families if f.kind == kind)
@@ -929,13 +949,10 @@ def test_reconcile_failure_outranks_the_rest(factor, oracle, monkeypatch):
     assert str(info.value) == "direct and Kronecker constructions differ"
 
 
-def test_only_m_is_scanned_and_kernelled(monkeypatch):
-    # classical n=3, k=3: XV and XH take their seeds in closed form, so the
-    # limit gate, the candidate scan and the exact kernels see M alone
-    t = classical_tiling(3)
+def _record_exact_routes(monkeypatch) -> list:
     seen = []
-    names = ("_candidate_limits", "_scanned_candidates", "_rational_kernel")
-    for name in names:
+    for name in ("_candidate_limits", "_scanned_candidates", "_rational_kernel",
+                 "integral_spectrum"):
         real = getattr(la, name)
 
         def recorded(a, *args, _real=real, _name=name):
@@ -943,21 +960,96 @@ def test_only_m_is_scanned_and_kernelled(monkeypatch):
             return _real(a, *args)
 
         monkeypatch.setattr(la, name, recorded)
-    verify(t, 3)
-    d = layers(t)
+    return seen
+
+
+def test_only_m_is_scanned_and_kernelled(freeform4, monkeypatch):
+    # the lattice rejects the free-form example, and at k=3 XV and XH take
+    # their seeds in closed form, so the limit gate, the candidate scan and
+    # the exact kernels see M alone
+    seen = _record_exact_routes(monkeypatch)
+    verify(freeform4, 3)
+    d = layers(freeform4)
     m = 9 * d.l_b + 3 * d.l_h + 3 * d.l_v
-    assert {name for name, _ in seen} == set(names)
+    assert {name for name, _ in seen} == {"_candidate_limits", "_scanned_candidates",
+                                          "_rational_kernel"}
     assert all(np.array_equal(a, m) for _, a in seen)
 
 
-def test_m_is_validated_once(monkeypatch):
-    # classical n=3, k=3: M is checked once, by `integer_eigenspaces`, and
-    # neither its kernels nor the candidate scan check it again; the other
-    # counts are the oracle's checks (the blown matrix once, then each of
-    # its 4 distinct N x N blocks in `float_eigen`), the ranks of the seed
-    # and tail stacks, and the Gershgorin bounds of M's limit gate (on both
-    # threads, on the object M) and of the exact eigenvector checks of the
-    # kernel lifts and of the factor-level residual clause (on int64 copies)
+def test_lattice_accepted_m_is_neither_gated_scanned_nor_kernelled(monkeypatch):
+    # classical n=3, k=3 (the benchmark's exact input): M's eigenspaces come
+    # off the partition lattice, so no limit gate, scan, kernel or
+    # certificate runs, and the seeds are still proven by the clauses
+    seen = _record_exact_routes(monkeypatch)
+    rep = verify(classical_tiling(3), 3)
+    assert seen == []
+    assert rep.total_rank == 729 and rep.max_residual == 0.0
+    assert all(s.exact for s in rep.families[3].spaces)
+
+
+def test_short_lattice_rank_falls_back_to_the_kernels(monkeypatch):
+    # mod 2 some Pi_E of classical n=2 falls short of rank dims[E] (its class
+    # sizes are powers of 2), so M's seeds come from the kernel route, with
+    # the same values and dimensions, and verify still passes
+    t = classical_tiling(2)
+    want = [(s.value, s.dim) for s in build_families(t, 2)[3].spaces]
+    monkeypatch.setattr(spectra, "_LATTICE_PRIME", 2)
+    assert spectra._lattice_eigenspaces(spectra._lattice(t), (4, 2, 2)) is None
+    seen = _record_exact_routes(monkeypatch)
+    rep = verify(t, 2)
+    assert [(s.value, s.dim) for s in rep.families[3].spaces] == want
+    assert {name for name, _ in seen} == {"_candidate_limits", "_scanned_candidates",
+                                          "_rational_kernel"}
+
+
+LATTICE_TILINGS = [
+    classical_tiling(1), classical_tiling(2), classical_tiling(3),
+    row_tiling(2), row_tiling(3), row_tiling(4), transpose(row_tiling(3)),
+    blow_up_tiling(classical_tiling(1), 3), blow_up_tiling(classical_tiling(2), 2),
+    blow_up_tiling(row_tiling(2), 2), blow_up_tiling(row_tiling(3), 2),
+]
+
+
+@st.composite
+def lattice_tilings(draw) -> Tiling:
+    """A lattice-accepted tiling with its block labels permuted."""
+    t = draw(st.sampled_from(LATTICE_TILINGS))
+    perm = draw(st.permutations(range(t.n_blocks)))
+    return Tiling(t.m, tuple(perm[b] for b in t.block_of))
+
+
+@given(lattice_tilings(), st.integers(1, 3))
+@settings(max_examples=30, deadline=None)
+@example(classical_tiling(3), 3)
+def test_lattice_m_spaces_match_the_kernel_route(t, k):
+    # M's eigenspaces off the lattice against `eigenvector_basis(M)`: the
+    # same (value, dimension) list, exact eigenvectors, full rank, and
+    # primitive integer vectors whose first nonzero entry is positive
+    lattice = spectra._lattice(t)
+    assert lattice is not None
+    coefficients = eigenbasis_mod._m_coefficients(k)
+    m = eigenbasis_mod._seed_operator(layers(t), coefficients)
+    spaces = spectra._lattice_eigenspaces(lattice, coefficients[:3])
+    assert [(lam, len(vecs)) for lam, vecs in spaces] \
+        == [(s.value, s.dim) for s in eigenvector_basis(m)]
+    vectors = [x for _, vecs in spaces for x in vecs]
+    values = [lam for lam, vecs in spaces for _ in vecs]
+    assert not la.eigen_mismatch(m, vectors, values).any()
+    assert la.rank(vectors) == t.n_cells
+    for x in vectors:
+        assert all(type(v) is int for v in x)
+        assert math.gcd(*x) == 1 and next(v for v in x if v) > 0
+
+
+def test_m_is_validated_once(freeform4, monkeypatch):
+    # the free-form example at k=3, which the lattice rejects: M is checked
+    # once, by `integer_eigenspaces`, and neither its kernel nor the
+    # candidate scan checks it again; the other counts are the oracle's
+    # checks (the blown matrix once, then each of its 4 distinct N x N
+    # blocks in `float_eigen`), the ranks of the exact seed and the tail
+    # stacks, and the Gershgorin bounds of M's limit gate (on both threads,
+    # on the object M) and of the exact eigenvector checks of the kernel
+    # lift and of the factor-level residual clause (on int64 copies)
     calls, bound_dtypes = [], []
     for name in ("_require_ints", "_require_symmetric", "gershgorin_bound"):
         real = getattr(la, name)
@@ -969,10 +1061,10 @@ def test_m_is_validated_once(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(la, name, counted)
-    verify(classical_tiling(3), 3)
+    verify(freeform4, 3)
     counts = {name: calls.count(name) for name in set(calls)}
-    assert counts == {"_require_ints": 9, "_require_symmetric": 6, "gershgorin_bound": 12}
-    assert bound_dtypes.count(np.int64) == 10
+    assert counts == {"_require_ints": 6, "_require_symmetric": 6, "gershgorin_bound": 7}
+    assert bound_dtypes.count(np.int64) == 5
 
 
 def test_blown_matrix_never_reaches_eigh(monkeypatch):

@@ -17,6 +17,7 @@ from oracles import (
     kernel_bareiss,
     poly_eval,
     rank_mod_dense,
+    rref_mod_eager,
     trace,
 )
 from sudoku_spectra import linalg as la
@@ -792,6 +793,48 @@ def test_rank_mod_below_rational_rank():
     a = int_matrix([[1, 0], [0, p]])
     assert _rref_rank(a, p) == rank_mod_dense(a, p) == 1
     assert la.rank(a) == 2
+
+
+# primes whose delayed reduction runs every 2, 8 and 512 pivots (the table
+# primes), and one whose bound is never reached
+RREF_PRIMES = [2**31 - 1, 1073741789, la._primes(1)[0], 3]
+
+
+def _both_rrefs(a, p: int):
+    eager = (np.asarray(a, dtype=object) % p).astype(np.int64)
+    delayed = eager.copy()
+    return (rref_mod_eager(eager, p), eager), (la._rref_mod(delayed, p), delayed)
+
+
+@pytest.mark.parametrize("p", RREF_PRIMES)
+@given(a=low_rank_matrices(), dense=st.integers(0, 2**31 - 2))
+@settings(max_examples=40, deadline=None)
+def test_rref_mod_matches_eager_reduction(p, a, dense):
+    # the reduced form mod p is unique, so reducing only the pivot column
+    # and row at each step must leave the same matrix and pivots as reducing
+    # every entry, on sparse rank-deficient matrices and dense residues alike
+    (eager_pivots, eager), (pivots, delayed) = _both_rrefs(a, p)
+    assert pivots == eager_pivots and np.array_equal(delayed, eager)
+    full = (a * dense + np.arange(a.size).reshape(a.shape) * 7919) % p
+    (eager_pivots, eager), (pivots, delayed) = _both_rrefs(full, p)
+    assert pivots == eager_pivots and np.array_equal(delayed, eager)
+
+
+@pytest.mark.parametrize("shape, rank", [((520, 530), 520), ((530, 520), 515)],
+                         ids=["full", "deficient"])
+def test_rref_mod_past_one_reduction_period(shape, rank):
+    # more than 511 pivots with a table prime, so the columns right of the
+    # pivot are reduced mid-way, at the 512th; random residues drift about
+    # p^2 / 4 per step, so it is the primes of period 2 and 8 above whose
+    # entries wrap int64 when that reduction is skipped
+    p = la._primes(1)[0]
+    rng = np.random.default_rng(11)
+    a = rng.integers(0, p, shape, dtype=np.int64)
+    if rank < min(shape):
+        a[rank:] = rng.integers(0, 3, (shape[0] - rank, rank)) @ a[:rank] % p
+    (eager_pivots, eager), (pivots, delayed) = _both_rrefs(a, p)
+    assert len(pivots) == rank
+    assert pivots == eager_pivots and np.array_equal(delayed, eager)
 
 
 @pytest.mark.parametrize("entry", [Fraction(1, 2), 0.5, Fraction(2, 1), 2.0],
